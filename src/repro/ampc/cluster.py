@@ -103,17 +103,14 @@ class Cluster:
         With ``key_fn=None`` items are dealt round-robin (balanced), which
         models the random assignment of Algorithm 1 line 2.
         """
-        partitions: List[List[Any]] = [
-            [] for _ in range(self.config.num_machines)
-        ]
+        num_machines = self.config.num_machines
         if key_fn is None:
-            num_machines = self.config.num_machines
-            for index, item in enumerate(items):
-                partitions[index % num_machines].append(item)
-        else:
-            machine_for = self.machine_for
-            for item in items:
-                partitions[machine_for(key_fn(item))].append(item)
+            return [list(items[machine::num_machines])
+                    for machine in range(num_machines)]
+        partitions: List[List[Any]] = [[] for _ in range(num_machines)]
+        machine_for = self.machine_for
+        for item in items:
+            partitions[machine_for(key_fn(item))].append(item)
         return partitions
 
     # -- timing ----------------------------------------------------------

@@ -30,11 +30,13 @@ per-element reference paths, which are charge-identical).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ampc.vector import HAVE_NUMPY, np, placement_ids
 
-__all__ = ["ColumnarRecords"]
+__all__ = ["ColumnarRecords", "unbox_rows"]
 
 
 class ColumnarRecords:
@@ -147,3 +149,27 @@ class ColumnarRecords:
                           for start, stop in zip(offsets, offsets[1:])]
             self._items = list(zip(keys, values))
         return self._items
+
+
+def unbox_rows(values: Sequence, dtypes: Optional[Sequence] = None):
+    """Boxed ragged store values back into flat columns.
+
+    The inverse of :meth:`ColumnarRecords.items` for a batch of looked-up
+    values: each value is a tuple of rows, or ``None`` for a missing key
+    (no rows).  Rows are int scalars by default; with ``dtypes`` they are
+    ``len(dtypes)``-tuples, one dtype per field.  Returns ``(row counts,
+    columns)``: an int64 count per value and one flat column per field.
+    """
+    if None in values:
+        values = [value or () for value in values]
+    counts = np.fromiter(map(len, values), dtype=np.int64,
+                         count=len(values))
+    if dtypes is None:
+        return counts, (np.fromiter(chain.from_iterable(values),
+                                    dtype=np.int64,
+                                    count=int(counts.sum())),)
+    rows = list(chain.from_iterable(values))
+    return counts, tuple(
+        np.fromiter(map(itemgetter(field), rows), dtype=dtype,
+                    count=len(rows))
+        for field, dtype in enumerate(dtypes))

@@ -18,6 +18,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.ampc.cost_model import estimate_bytes
 from repro.ampc.hashing import _MASK, _SEED, stable_hash
+from repro.ampc.vector import HAVE_NUMPY, np, placement_ids
+
+#: below this many keys a batched read routes key by key (the vectorised
+#: pass has a fixed cost of a few array round trips)
+_VECTOR_ROUTING_MIN_KEYS = 32
 
 
 class StoreSealedError(RuntimeError):
@@ -237,23 +242,59 @@ class DHTStore:
             raise StoreSealedError(
                 f"store {self.name!r} is still being written this round"
             )
-        shard_of = self.shard_of
         shards = self._shards
         size_shards = self._sizes
-        shard_reads = self.shard_reads
         values: List[Any] = []
         append = values.append
         total = 0
-        for key in keys:
-            shard_index = shard_of(key)
-            shard_reads[shard_index] += 1
-            size = size_shards[shard_index].get(key)
-            if size is None:
-                append(None)
-            else:
-                append(shards[shard_index][key])
-                total += size
+        routed = (self._route_batch(keys)
+                  if type(keys) is list
+                  and len(keys) >= _VECTOR_ROUTING_MIN_KEYS else None)
+        if routed is None:
+            shard_of = self.shard_of
+            shard_reads = self.shard_reads
+            for key in keys:
+                shard_index = shard_of(key)
+                shard_reads[shard_index] += 1
+                size = size_shards[shard_index].get(key)
+                if size is None:
+                    append(None)
+                else:
+                    append(shards[shard_index][key])
+                    total += size
+        else:
+            for key, shard_index in zip(keys, routed):
+                size = size_shards[shard_index].get(key)
+                if size is None:
+                    append(None)
+                else:
+                    append(shards[shard_index][key])
+                    total += size
         return values, total
+
+    def _route_batch(self, keys: List[Any]) -> Optional[List[int]]:
+        """Shard of each key of a large batch, reads counted — or None.
+
+        A batch of vertex-id keys (what a frontier sweep reads) is routed
+        by one vectorised placement hash and one histogram instead of a
+        memo probe and a counter bump per key: same shards, same
+        ``shard_reads``.  Anything else is left to the caller's per-key
+        loop (None).
+        """
+        if not HAVE_NUMPY or not set(map(type, keys)) <= {int}:
+            return None
+        try:
+            column = np.asarray(keys, dtype=np.int64)
+        except OverflowError:  # beyond int64: the scalar hash copes
+            return None
+        if column.min() < 0:
+            return None
+        shard_ids = placement_ids(column, self.num_shards)
+        shard_reads = self.shard_reads
+        for shard_index, reads in enumerate(np.bincount(
+                shard_ids, minlength=self.num_shards).tolist()):
+            shard_reads[shard_index] += reads
+        return shard_ids.tolist()
 
     def contains(self, key: Any) -> bool:
         """Membership probe; charged and round-checked like :meth:`lookup`."""

@@ -64,6 +64,17 @@ class ParamSpec:
         return self.cli or "--" + self.name.replace("_", "-")
 
 
+def require_positive(name: str, value: Optional[int]) -> None:
+    """Reject a parameter that is set but below 1 (``None`` means unset).
+
+    Budgets and counts share this check so that ``0`` — falsy, and easy
+    to mistake for "unset" with ``or`` — fails loudly instead of silently
+    selecting the default.
+    """
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Everything the Session/CLI/experiment layers need about an algorithm.

@@ -37,7 +37,9 @@ comments allowed — the format of :mod:`repro.graph.io`).
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from typing import List, Optional
 
 from repro.ampc.cluster import ClusterConfig
@@ -216,6 +218,26 @@ def _print_metrics(metrics: dict) -> None:
     print(f"simulated time: {metrics['simulated_time_s']:.3f}s")
 
 
+def _exit_on_sigterm() -> None:
+    """Make SIGTERM an orderly shutdown, like the ``shutdown`` op.
+
+    The default action kills the interpreter on the spot: no ``finally``
+    runs, ``--processes`` workers are left re-parented to init and the
+    shared-memory segments they created are never unlinked.  Raising
+    ``SystemExit`` in the main thread instead unwinds the serve loop
+    through its ``finally`` blocks — drain the connections, close the
+    service (workers, their stores) — and exits with status 0.
+    """
+    def terminate(signum, frame):
+        # one orderly shutdown is enough; a second signal must not
+        # interrupt the cleanup half-way
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise SystemExit(0)
+
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, terminate)
+
+
 def _cmd_serve(args) -> int:
     from repro.serve import (
         GraphService,
@@ -249,6 +271,7 @@ def _cmd_serve(args) -> int:
         service = GraphService(_config(args), workers=args.workers,
                                max_cache_bytes=args.max_cache_bytes,
                                **load_options, **backend_options)
+    _exit_on_sigterm()
     try:
         if args.port is None:
             serve_stream(service, sys.stdin, sys.stdout)

@@ -34,7 +34,8 @@ from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
 from repro.ampc.vector import HAVE_NUMPY, hash_ranks, np, placement_ids
 from repro.api.incremental import patch_records, touched_vertices
-from repro.api.registry import AlgorithmSpec, ParamSpec, register_algorithm
+from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
+                                require_positive)
 from repro.core.ranks import hash_rank
 from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
                                      roundrobin_counts, write_columnar_store)
@@ -671,6 +672,7 @@ def ampc_maximal_matching(graph: Graph, *,
     A ``prepared`` artifact (from :func:`prepare_matching`) skips the
     preprocessing shuffle and KV-write.
     """
+    require_positive("search_budget", search_budget)
     if runtime is None:
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics

@@ -13,6 +13,11 @@ the paper implements and evaluates as its first case study:
    capability — and is memoized by the per-machine *caching* optimization
    when enabled (Section 5.3).
 
+The practical variant's searches are independent of each other (only the
+shared per-machine cache couples them, and not in what it charges), so a
+machine runs them all at once as frontier sweeps with one batched KV read
+per sweep — Section 5.3's multithreading; see :meth:`_IsInMIS._sweep`.
+
 Setting ``search_budget`` runs the theory variant instead: each round every
 unresolved vertex is given a lookup budget of n^epsilon; searches that
 exceed it park, resolved states are written to the next DHT, and the next
@@ -22,36 +27,28 @@ round resumes against them.  This is the O(1/epsilon)-round schedule of
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ampc.cluster import ClusterConfig
-from repro.ampc.columnar import ColumnarRecords
+from repro.ampc.columnar import ColumnarRecords, unbox_rows
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
 from repro.ampc.vector import (HAVE_NUMPY, np, placement_ids,
                                vertex_ranks_u64)
 from repro.api.incremental import patch_records, touched_vertices
-from repro.api.registry import AlgorithmSpec, ParamSpec, register_algorithm
+from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
+                                require_positive)
 from repro.core.ranks import vertex_ranks
-from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
-                                     roundrobin_counts, write_columnar_store)
+from repro.dataflow.columnar import (StageReplay, charge_map_stage,
+                                     partition_boxed, roundrobin_counts,
+                                     write_columnar_store)
 from repro.dataflow.dofn import DoFn, MachineContext
 from repro.graph.graph import Graph
 
 #: sentinel meaning "this search exceeded its budget this round"
 _PARKED = object()
-
-#: per-store memo of whole query-process outcomes.  Against a sealed
-#: plain sim store, machine ``m``'s element sequence — and with it the
-#: per-machine cache's evolution — is a deterministic function of (store
-#: content, budget, machine count), so element ``i``'s outcome and its
-#: exact charge profile (cache hits, KV reads/bytes, per-shard
-#: contention bumps) replay verbatim on any later run against the same
-#: store; see the identical construction in :mod:`repro.core.matching`.
-_RESOLVE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -75,76 +72,181 @@ def _direct_neighbors(vertex: int, neighbors: Sequence[int],
     return tuple(lower)
 
 
+def _greedy_mis_column(records, num_vertices: int):
+    """The lexicographically-first MIS of the rank-directed graph.
+
+    ``records`` are ``(vertex, lower-rank neighbors)``; the result is a
+    boolean column over vertex ids.  Round-synchronous greedy: an
+    undecided vertex with no undecided lower neighbor joins, the higher
+    neighbors of a joined vertex leave, and edges with a decided end stop
+    constraining anything — O(log n) rounds for hashed ranks.
+    """
+    keys = np.fromiter((record[0] for record in records),
+                       dtype=np.int64, count=len(records))
+    counts, (lower,) = unbox_rows([record[1] for record in records])
+    upper = np.repeat(keys, counts)
+    in_mis = np.zeros(num_vertices, dtype=bool)
+    undecided = np.ones(num_vertices, dtype=bool)
+    while undecided.any():
+        waiting = np.zeros(num_vertices, dtype=bool)
+        waiting[upper] = True
+        joined = undecided & ~waiting
+        in_mis |= joined
+        undecided &= waiting
+        undecided[upper[joined[lower]]] = False
+        live = undecided[upper] & undecided[lower]
+        upper = upper[live]
+        lower = lower[live]
+    return in_mis
+
+
+def _probe_edges(vertices, counts, neighbors, in_mis):
+    """The probes the query process makes out of ``vertices``.
+
+    ``neighbors`` holds each vertex's rank-sorted lower neighbors back to
+    back (``counts`` per vertex).  A vertex probes them in order up to
+    and including the first one in the MIS — that neighbor kicks it out,
+    so the rest are never consulted.  Returns parallel ``(source,
+    target)`` columns, one row per probe.
+    """
+    owner = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
+    position = np.arange(len(neighbors), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    stops = in_mis[neighbors]
+    probes = counts.copy()
+    np.minimum.at(probes, owner[stops], position[stops] + 1)
+    probed = position < probes[owner]
+    return vertices[owner[probed]], neighbors[probed]
+
+
 class _IsInMIS(DoFn):
-    """The recursive query process, implemented with an explicit stack.
+    """The recursive query process of Yoshida et al.
+
+    Two executions, charge-identical, chosen from the run's own inputs:
+
+    * :meth:`_resolve` walks one vertex at a time with an explicit stack.
+      It serves what the sweep cannot — a per-search ``budget`` (parking
+      depends on the order searches ran in), a ``resolved_store`` from an
+      earlier truncated round, the per-machine cache switched off, no
+      numpy — and is the oracle the sweep is tested against.
+    * :meth:`_sweep` keeps all of a machine's searches in flight at once
+      (Section 5.3's multithreading): the unbudgeted, cache-on descent
+      probes a set of vertices that does not depend on the order of the
+      searches, so it is expanded as level-synchronous frontier sweeps,
+      one ``lookup_many`` per sweep.
 
     ``resolved_store`` (theory variant only) holds states committed in
     earlier rounds; consulting it costs a KV read like any other lookup.
+    ``records`` are all of ``store``'s records; the sweep derives the
+    answer every search must arrive at from them (the lookups still
+    fetch every adjacency list it expands).
     """
 
     def __init__(self, store: DHTStore, *,
                  resolved_store: Optional[DHTStore] = None,
-                 budget: Optional[int] = None):
+                 budget: Optional[int] = None,
+                 records: Optional[Sequence] = None,
+                 num_vertices: int = 0):
         self._store = store
         self._resolved_store = resolved_store
         self._budget = budget
         self._cache: Optional[Dict[int, bool]] = None
-        self._resolve_memo = None
-        if resolved_store is None and type(store) is DHTStore:
-            try:
-                per_store = _RESOLVE_MEMO.setdefault(store, {})
-            except TypeError:  # a store that cannot be weakly referenced
-                per_store = None
-            if per_store is not None:
-                self._resolve_memo = per_store.setdefault(budget, {})
-        self._elem_index = 0
+        self._records = records
+        self._num_vertices = num_vertices
+        self._in_mis = None
+        self._sweeps = (HAVE_NUMPY and records is not None
+                        and budget is None and resolved_store is None)
+        # a first-round outcome is a function of the store alone; later
+        # truncated rounds also depend on the states committed so far
+        self._replay = StageReplay(
+            store if resolved_store is None else None, ("is-in-mis", budget))
 
     def start_machine(self, ctx: MachineContext) -> None:
         self._cache = {} if ctx.caching_enabled else None
-        self._elem_index = 0
 
     def process(self, element, ctx):
         vertex, directed_neighbors = element
-        # whole-element replay only holds with the per-machine cache on
-        # (its evolution is part of the recorded charge profile)
-        memo = self._resolve_memo if self._cache is not None else None
-        if memo is None:
-            state = self._resolve(vertex, directed_neighbors, ctx)
-        else:
-            index = self._elem_index
-            self._elem_index = index + 1
-            key = (ctx.cluster.config.num_machines, ctx.machine_id, index,
-                   vertex)
-            entry = memo.get(key)
-            shard_reads = self._store.shard_reads
-            if entry is not None:
-                state, hits, reads, read_bytes, shard_deltas = entry
-                work = ctx.work
-                work.cache_hits += hits
-                work.kv_reads += reads
-                work.kv_read_bytes += read_bytes
-                for shard, delta in shard_deltas:
-                    shard_reads[shard] += delta
-            else:
-                work = ctx.work
-                hits0 = work.cache_hits
-                reads0 = work.kv_reads
-                bytes0 = work.kv_read_bytes
-                shards0 = list(shard_reads)
-                state = self._resolve(vertex, directed_neighbors, ctx)
-                memo[key] = (
-                    state,
-                    work.cache_hits - hits0,
-                    work.kv_reads - reads0,
-                    work.kv_read_bytes - bytes0,
-                    tuple((shard, after - before) for shard, (after, before)
-                          in enumerate(zip(shard_reads, shards0))
-                          if after != before),
-                )
+        state = self._resolve(vertex, directed_neighbors, ctx)
         if state is _PARKED:
             yield ("parked", vertex, directed_neighbors)
         elif state:
             yield ("in", vertex, ())
+
+    def process_batch(self, partition, ctx):
+        return self._replay.run(
+            ctx, lambda: self._machine_outputs(partition, ctx))
+
+    def _machine_outputs(self, partition, ctx):
+        if self._sweeps and ctx.caching_enabled:
+            return self._sweep(partition, ctx)
+        outputs: List[Tuple] = []
+        for element in partition:
+            outputs.extend(self.process(element, ctx))
+        return outputs
+
+    # -- the query process, all of a machine's searches at once ------------
+
+    def _sweep(self, partition, ctx):
+        """Charge twin of the :meth:`_resolve` loop over ``partition``.
+
+        Whatever the cache holds, a vertex probes its lower neighbors in
+        rank order up to and including the first one in the MIS, so the
+        machine expands a fixed closure of its roots under those probe
+        edges.  Every probe is a cache hit or the one KV read that first
+        expands its target; a root the searches reach only after its own
+        element ran is expanded from that element for free.  Hence reads
+        = closure minus the roots no earlier element reached, hits =
+        probes + root checks - closure, independent of traversal order.
+        """
+        in_mis = self._truth()
+        store = self._store
+        roots = np.fromiter((record[0] for record in partition),
+                            dtype=np.int64, count=len(partition))
+        counts, (neighbors,) = unbox_rows(
+            [record[1] for record in partition])
+        expanded = np.zeros(len(in_mis), dtype=bool)
+        expanded[roots] = True
+        closure = len(roots)
+        probe_sources = []
+        probe_targets = []
+        frontier = roots
+        while True:
+            sources, targets = _probe_edges(frontier, counts, neighbors,
+                                            in_mis)
+            probe_sources.append(sources)
+            probe_targets.append(targets)
+            reached = np.zeros(len(in_mis), dtype=bool)
+            reached[targets] = True
+            frontier = np.flatnonzero(reached & ~expanded)
+            if not len(frontier):
+                break
+            expanded[frontier] = True
+            closure += len(frontier)
+            counts, (neighbors,) = unbox_rows(
+                ctx.lookup_many(store, frontier.tolist()))
+        sources = np.concatenate(probe_sources)
+        targets = np.concatenate(probe_targets)
+        # first[v]: index of the earliest element whose search reaches v
+        element_index = np.arange(len(roots), dtype=np.int64)
+        first = np.full(len(in_mis), len(roots), dtype=np.int64)
+        first[roots] = element_index
+        while True:
+            reach = first[sources]
+            earlier = reach < first[targets]
+            if not earlier.any():
+                break
+            np.minimum.at(first, targets[earlier], reach[earlier])
+        read_roots = roots[first[roots] < element_index]
+        ctx.lookup_many(store, read_roots.tolist())
+        ctx.work.cache_hits += len(targets) + len(roots) - closure
+        return [("in", vertex, ()) for vertex in roots[in_mis[roots]].tolist()]
+
+    def _truth(self):
+        """The lexicographically-first MIS as a boolean column, once."""
+        if self._in_mis is None:
+            self._in_mis = _greedy_mis_column(self._records,
+                                              self._num_vertices)
+        return self._in_mis
 
     # -- the query process -------------------------------------------------
 
@@ -397,6 +499,7 @@ def ampc_mis(graph: Graph, *,
     artifact (from :func:`prepare_mis`) skips the preprocessing shuffle
     and KV-write entirely — the cross-run reuse the Session API builds on.
     """
+    require_positive("search_budget", search_budget)
     if runtime is None:
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
@@ -438,7 +541,8 @@ def ampc_mis(graph: Graph, *,
             )
         with metrics.phase("IsInMIS"):
             outcome = pending.par_do(
-                _IsInMIS(store, resolved_store=resolved_store, budget=budget),
+                _IsInMIS(store, resolved_store=resolved_store, budget=budget,
+                         records=prepared.records, num_vertices=len(ranks)),
                 name="is-in-mis",
             )
         parked = outcome.filter_elements(lambda r: r[0] == "parked",

@@ -25,6 +25,13 @@ Two entry points:
   contraction rounds until the instance fits in one machine's memory — the
   same O(log log) shrink schedule, documented in DESIGN.md.
 
+The two adaptive phases of the practical pipeline, PrimSearch and
+PointerJump, keep all of a machine's searches in flight together — the
+paper's multithreading (Section 5.3) — as frontier sweeps with one batched
+KV read per sweep (:meth:`_PrimSearch._sweep`, :meth:`_PointerJump._sweep`);
+the one-search-at-a-time forms beside them are the reference, and what
+runs without numpy.
+
 All variants carry the *original* endpoints of every edge through
 contraction and solve with the strict total order (weight, endpoints), so
 the output is edge-identical to Kruskal even with heavily tied weights
@@ -35,22 +42,25 @@ from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ampc.cluster import ClusterConfig
-from repro.ampc.columnar import ColumnarRecords
+from repro.ampc.columnar import ColumnarRecords, unbox_rows
 from repro.ampc.cost_model import _sequence_bytes
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
-from repro.ampc.vector import HAVE_NUMPY, np, placement_ids
+from repro.ampc.vector import (HAVE_NUMPY, np, placement_ids,
+                               vertex_ranks_u64)
 from repro.api.incremental import patch_records, touched_vertices
-from repro.api.registry import AlgorithmSpec, ParamSpec, register_algorithm
-from repro.core.ranks import vertex_ranks, hash_rank
-from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
-                                     roundrobin_counts, write_columnar_store)
+from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
+                                require_positive)
+from repro.core.ranks import vertex_ranks
+from repro.dataflow.columnar import (RowBlock, StageReplay, charge_map_stage,
+                                     partition_boxed, roundrobin_counts,
+                                     write_columnar_store)
 from repro.dataflow.dofn import DoFn, MachineContext
 from repro.graph.graph import WeightedGraph, edge_key
 from repro.graph.ternarize import ternarize
@@ -73,6 +83,9 @@ class MSFResult:
     prim_edges: int = 0
     #: maximum pointer-chain length seen while jumping (paper saw <= 33)
     max_pointer_depth: int = 0
+    #: total forest weight, filled in by the first report that needs it
+    #: (the summary and the description both do)
+    weight: Optional[float] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -80,69 +93,97 @@ class MSFResult:
 # ---------------------------------------------------------------------------
 
 
-#: per-store memo of completed Prim searches, keyed by the sealed
-#: adjacency store (weak: dropping the store drops its memo)
-_PRIM_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _vertex_rank_column(num_vertices: int, seed: int):
+    """``hash_rank(seed, v)`` per vertex: a float64 column, or a list
+    without numpy (bit-identical values either way)."""
+    if HAVE_NUMPY:
+        return vertex_ranks_u64(num_vertices, seed)
+    return vertex_ranks(num_vertices, seed)
 
-#: per-adjacency-store memo of the contracted Kruskal forest, keyed by
-#: (seed, budget).  Pure driver-side compute — the charge for the solve
-#: is applied unconditionally at the call site.
-_FOREST_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+#: the stored adjacency rows: ``(neighbor, weight)``
+_ADJACENCY_DTYPES = (np.int64, np.float64) if HAVE_NUMPY else ()
+
+
+class _SearchColumns:
+    """One machine's Prim-search outputs as three ``(k, 2)`` int64 columns.
+
+    ``msf`` rows are canonical ``(lo, hi)`` forest edges, ``visit`` rows
+    ``(visited, visitor)``, ``ptr`` rows ``(searcher, higher-priority
+    vertex it stopped at)``.  ``len()`` is the number of boxed triples the
+    scalar search would have emitted — what ``par_do`` charges — and
+    iterating yields exactly those triples, for consumers that want them.
+    """
+
+    __slots__ = ("msf", "visit", "ptr")
+
+    def __init__(self, msf, visit, ptr):
+        self.msf = msf
+        self.visit = visit
+        self.ptr = ptr
+
+    @classmethod
+    def of(cls, outputs) -> "_SearchColumns":
+        """``outputs`` itself, or the columns of a boxed triple list."""
+        if isinstance(outputs, cls):
+            return outputs
+        return cls(*(
+            np.array([(a, b) for kind, a, b in outputs if kind == tag],
+                     dtype=np.int64).reshape(-1, 2)
+            for tag in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.msf) + len(self.visit) + len(self.ptr)
+
+    def __iter__(self):
+        for tag in self.__slots__:
+            for a, b in getattr(self, tag).tolist():
+                yield (tag, a, b)
 
 
 class _PrimSearch(DoFn):
     """Truncated Prim search from every vertex (Algorithm 1, lines 5-12).
 
-    Emits ``("msf", edge)`` for each discovered MSF edge, ``("visit",
+    Emits ``("msf", lo, hi)`` for each discovered MSF edge, ``("visit",
     visited, visitor)`` for every lower-priority visited vertex, and
     ``("ptr", v, u)`` when the search stops at a higher-priority vertex
     (the F edge of the theory algorithm).
 
     Each vertex's search is a pure function of the sealed adjacency
-    store, the rank seed, and the budget, and so is its charge profile
-    (which keys it read, in what order).  Over a plain in-process store
-    the outcome is memoized per ``(seed, budget)`` — warm Session runs
-    replay the recorded outputs and *exactly* the recorded charges (same
-    reads, bytes, and per-shard contention bumps) without re-walking the
-    heap.  Derived or backed stores are distinct memo keys or opt out.
+    store, the vertex ranks and the budget — no state crosses elements —
+    so a machine advances all of its searches together, one Prim step
+    per sweep and one ``lookup_many`` per sweep (:meth:`_sweep`; the
+    concurrency Section 5.3's multithreading buys).  :meth:`_search` is
+    the one-search-at-a-time form: the path without numpy, and the
+    oracle the sweep is tested against.
     """
 
     def __init__(self, store: DHTStore, ranks: Sequence[float], budget: int,
-                 *, seed: Optional[int] = None):
+                 seed: int):
         self._store = store
         self._ranks = ranks
         self._budget = budget
-        self._memo: Optional[Dict[int, tuple]] = None
-        if seed is not None and type(store) is DHTStore:
-            try:
-                per_store = _PRIM_MEMO.setdefault(store, {})
-            except TypeError:  # a store that cannot be weakly referenced
-                pass
-            else:
-                self._memo = per_store.setdefault(
-                    (seed, budget, len(ranks)), {})
+        self._replay = StageReplay(
+            store, ("prim-search", seed, budget, len(ranks)))
 
     def process(self, element, ctx):
-        memo = self._memo
-        if memo is not None:
-            entry = memo.get(element[0])
-            if entry is not None:
-                outputs, reads, read_bytes, shards = entry
-                work = ctx.work
-                work.kv_reads += reads
-                work.kv_read_bytes += read_bytes
-                shard_reads = self._store.shard_reads
-                for shard in shards:
-                    shard_reads[shard] += 1
-                return outputs
         return self._search(element, ctx)
+
+    def process_batch(self, partition, ctx):
+        return self._replay.run(
+            ctx, lambda: self._machine_outputs(partition, ctx))
+
+    def _machine_outputs(self, partition, ctx):
+        if HAVE_NUMPY:
+            return self._sweep(partition, ctx)
+        return list(chain.from_iterable(
+            self._search(element, ctx) for element in partition))
 
     def _search(self, element, ctx):
         vertex, incident = element
         ranks = self._ranks
         store = self._store
         budget = self._budget
-        memo = self._memo
         heappop = heapq.heappop
         heappush = heapq.heappush
         my_rank = (ranks[vertex], vertex)
@@ -151,9 +192,6 @@ class _PrimSearch(DoFn):
         heapq.heapify(heap)
         outputs = []
         append = outputs.append
-        shards: List[int] = []
-        read_bytes = 0
-        work = ctx.work
         while heap:
             if len(visited) >= budget:
                 break  # stopping condition (1): budget exhausted
@@ -161,39 +199,112 @@ class _PrimSearch(DoFn):
             if y in visited:
                 continue
             visited.add(y)
-            append(("msf", edge_key(x, y), 0))
+            append(("msf",) + edge_key(x, y))
             if (ranks[y], y) < my_rank:
                 # stopping condition (3): reached a higher-priority vertex.
                 append(("ptr", vertex, y))
                 break
             append(("visit", y, vertex))
-            if memo is not None:
-                # charge-identical to ctx.lookup for an int key, with the
-                # touched shard recorded for memo replay
-                fetched, size = store.lookup_with_size(y)
-                work.kv_reads += 1
-                work.kv_read_bytes += 8 + size
-                read_bytes += 8 + size
-                shards.append(store.shard_of(y))
-            else:
-                fetched = ctx.lookup(store, y)
-            for u, w in fetched or ():
+            for u, w in ctx.lookup(store, y) or ():
                 if u not in visited:
                     heappush(heap, ((w,) + edge_key(y, u), y, u))
         # Falling out of the loop with an empty heap is stopping
         # condition (2): the component is fully explored.
-        if memo is not None:
-            memo[vertex] = (outputs, len(shards), read_bytes, shards)
         return outputs
+
+    def _sweep(self, partition, ctx) -> _SearchColumns:
+        """Every search of ``partition``, one Prim step per sweep.
+
+        The heap of a search is a set of rows in one flat candidate pool
+        ``(search, near, far, weight)``; the heap's total order is
+        ``(weight, canonical endpoints)``, the endpoints folded into one
+        int ``code``.  Each sweep pops every live search's minimum row
+        (rows whose far end is already visited were dropped when it was),
+        emits what the scalar search emits, fetches the newly visited
+        vertices' adjacency in one batch and pushes their unvisited ends.
+        All live searches have visited the same number of vertices, so
+        the budget cuts them off together.
+        """
+        store = self._store
+        rank = np.asarray(self._ranks, dtype=np.float64)
+        n = len(rank)
+        roots = np.fromiter((record[0] for record in partition),
+                            dtype=np.int64, count=len(partition))
+        degrees, (far, weight) = unbox_rows(
+            [record[1] for record in partition], _ADJACENCY_DTYPES)
+        search = np.repeat(np.arange(len(roots), dtype=np.int64), degrees)
+        near = roots[search]
+        visited = roots[:, None]
+        msf, visit, ptr = [], [], []
+        for size in range(1, self._budget):
+            # a search whose heap ran dry has explored its component
+            live = np.zeros(len(roots), dtype=bool)
+            live[search] = True
+            if not live.all():
+                search = (np.cumsum(live) - 1)[search]
+                roots = roots[live]
+                visited = visited[live]
+            count = len(roots)
+            if not count:
+                break
+            lightest = np.full(count, np.inf)
+            np.minimum.at(lightest, search, weight)
+            tied = np.flatnonzero(weight == lightest[search])
+            code = (np.minimum(near[tied], far[tied]) * n
+                    + np.maximum(near[tied], far[tied]))
+            lowest = np.full(count, n * n, dtype=np.int64)
+            np.minimum.at(lowest, search[tied], code)
+            popped = tied[code == lowest[search[tied]]]
+            x = np.empty(count, dtype=np.int64)
+            y = np.empty(count, dtype=np.int64)
+            x[search[popped]] = near[popped]
+            y[search[popped]] = far[popped]
+            visited = np.column_stack((visited, y))
+            msf.append(np.column_stack((np.minimum(x, y), np.maximum(x, y))))
+            rank_y = rank[y]
+            rank_root = rank[roots]
+            stopped = (rank_y < rank_root) | (
+                (rank_y == rank_root) & (y < roots))
+            ptr.append(np.column_stack((roots[stopped], y[stopped])))
+            going = ~stopped
+            explorers = np.flatnonzero(going)
+            explored = y[explorers]
+            visit.append(np.column_stack((explored, roots[explorers])))
+            # charged even when the budget stops the search right after
+            fetched = ctx.lookup_many(store, explored.tolist())
+            if size + 1 >= self._budget:
+                break
+            degrees, (new_far, new_weight) = unbox_rows(
+                fetched, _ADJACENCY_DTYPES)
+            new_search = np.repeat(explorers, degrees)
+            new_near = np.repeat(explored, degrees)
+            push = ~(visited[new_search] == new_far[:, None]).any(axis=1)
+            keep = going[search] & (far != y[search])
+            search = np.concatenate((search[keep], new_search[push]))
+            near = np.concatenate((near[keep], new_near[push]))
+            far = np.concatenate((far[keep], new_far[push]))
+            weight = np.concatenate((weight[keep], new_weight[push]))
+        empty = np.empty((0, 2), dtype=np.int64)
+        return _SearchColumns(*(np.concatenate(rows) if rows else empty
+                                for rows in (msf, visit, ptr)))
 
 
 class _PointerJump(DoFn):
-    """Chase parent pointers to the root, with per-machine memoization."""
+    """Chase parent pointers to the root, with per-machine memoization.
 
-    def __init__(self, store: DHTStore):
+    :meth:`process` walks one vertex at a time.  Given ``parents`` — the
+    pointer map as a column (vertex -> parent, -1 for a root), which the
+    combine stage that wrote ``store`` has in hand — a machine walks all
+    of its vertices in lock step instead, one ``lookup_many`` per level
+    (:meth:`_sweep`), with the same reads, cache hits and chain depths.
+    """
+
+    def __init__(self, store: DHTStore, parents=None):
         self._store = store
         self._cache: Optional[Dict[int, int]] = None
         self.max_depth = 0
+        self._parents = parents
+        self._root_of = None if parents is None else _root_column(parents)
 
     def start_machine(self, ctx: MachineContext) -> None:
         self._cache = {} if ctx.caching_enabled else None
@@ -217,6 +328,81 @@ class _PointerJump(DoFn):
             for node in chain:
                 self._cache[node] = current
         yield (vertex, current)
+
+    def process_batch(self, partition, ctx):
+        if self._parents is not None:
+            return self._sweep(partition, ctx)
+        return list(chain.from_iterable(
+            self.process(vertex, ctx) for vertex in partition))
+
+    def _sweep(self, partition, ctx) -> RowBlock:
+        """Charge twin of the :meth:`process` loop over ``partition``.
+
+        A walk caches every non-root vertex it reads, so the cached set
+        is closed under "parent of": vertex ``x`` is uncached exactly
+        until the earliest element below it (``owner[x]``, the minimum
+        element index in its subtree) has walked through.  Element ``i``
+        therefore starts with a cache hit unless it owns itself, reads
+        upwards while it owns what it steps onto, and ends on a hit (a
+        vertex an earlier element owns) or on the root, which everyone
+        who gets there reads and nobody caches (``owner`` -1).  With the
+        cache off every element reads its whole path.
+        """
+        store = self._store
+        parents = self._parents
+        vertices = np.asarray(partition, dtype=np.int64)
+        walker = np.arange(len(vertices), dtype=np.int64)
+        if ctx.caching_enabled:
+            owner = np.full(len(parents), len(vertices), dtype=np.int64)
+            owner[vertices] = walker
+            moved = vertices
+            while len(moved):
+                above = parents[moved]
+                claim = owner[moved]
+                earlier = (above >= 0) & (claim < owner[np.maximum(above, 0)])
+                np.minimum.at(owner, above[earlier], claim[earlier])
+                changed = np.zeros(len(parents), dtype=bool)
+                changed[above[earlier]] = True
+                moved = np.flatnonzero(changed)
+            # a root is read by everyone who reaches it, never cached
+            owner[self._root_of == np.arange(len(parents))] = -1
+            walking = (owner[vertices] == walker) | (owner[vertices] < 0)
+            ctx.work.cache_hits += len(vertices) - int(walking.sum())
+            at = vertices[walking]
+            walker = walker[walking]
+        else:
+            owner = None
+            at = vertices
+        depth = 0
+        while len(at):
+            fetched = ctx.lookup_many(store, at.tolist())
+            above = np.fromiter(
+                (-1 if parent is None else parent for parent in fetched),
+                dtype=np.int64, count=len(fetched))
+            climbing = (above >= 0) & (above != at)
+            at = above[climbing]
+            if owner is not None:
+                walker = walker[climbing]
+                owned = (owner[at] == walker) | (owner[at] < 0)
+                ctx.work.cache_hits += len(at) - int(owned.sum())
+                at = at[owned]
+                walker = walker[owned]
+            if climbing.any():
+                depth += 1
+        self.max_depth = max(self.max_depth, depth)
+        return RowBlock(np.column_stack((vertices, self._root_of[vertices])))
+
+
+def _root_column(parents):
+    """Root of every vertex of a pointer forest (``parents``: -1 = root),
+    by pointer doubling."""
+    ids = np.arange(len(parents), dtype=np.int64)
+    roots = np.where((parents < 0) | (parents == ids), ids, parents)
+    while True:
+        doubled = roots[roots]
+        if np.array_equal(doubled, roots):
+            return roots
+        roots = doubled
 
 
 # ---------------------------------------------------------------------------
@@ -319,38 +505,37 @@ def _kruskal_records(records: Iterable[EdgeRecord]) -> List[EdgeId]:
     return forest
 
 
-def _combine_pointers_columnar(runtime: AMPCRuntime, visits, ranks):
+def _combine_pointers_columnar(runtime: AMPCRuntime, visited, visitors,
+                               ranks):
     """Columnar twin of the Combine stage chain (shuffles 2 and 3).
 
-    Replays the boxed ``group_by_key`` → ``select-best-visitor`` →
-    ``repartition`` → store-write sequence — same charges in the same
-    stage order — from flat arrays.  The best (min ``(rank, id)``)
-    visitor per visited vertex is unique, so one lexsort + first-of-group
-    selects exactly what the boxed ``min`` picked; element order inside
-    the intermediate stages is not metrics-visible (the charges are
-    counts and byte totals, and the pointer store is a key-value map).
+    ``visited`` / ``visitors`` are the parallel columns of the searches'
+    ``("visit", visited, visitor)`` outputs.  Replays the boxed
+    ``group_by_key`` → ``select-best-visitor`` → ``repartition`` →
+    store-write sequence — same charges in the same stage order — from
+    flat arrays.  The best (min ``(rank, id)``) visitor per visited
+    vertex is unique, so two scatter-min passes (lowest rank, then lowest
+    id among the ties) select exactly what the boxed ``min`` picked;
+    element order inside the intermediate stages is not metrics-visible
+    (the charges are counts and byte totals, and the pointer store is a
+    key-value map).  Returns the store and the pointer map as a column
+    (vertex -> best visitor, -1 where nobody visited).
     """
     cluster = runtime.cluster
     num_machines = cluster.config.num_machines
+    num_vertices = len(ranks)
     #: every element in this chain is an (int, int) pair
     pair_bytes = _sequence_bytes((0, 0))
-    cluster.charge_shuffle(pair_bytes * len(visits))  # combine-visitors
-    if visits:
-        count = len(visits)
-        visited = np.fromiter((pair[0] for pair in visits),
-                              dtype=np.int64, count=count)
-        visitors = np.fromiter((pair[1] for pair in visits),
-                               dtype=np.int64, count=count)
-        ranks_arr = np.asarray(ranks, dtype=np.float64)
-        order = np.lexsort((visitors, ranks_arr[visitors], visited))
-        sorted_visited = visited[order]
-        first = np.ones(count, dtype=bool)
-        first[1:] = sorted_visited[1:] != sorted_visited[:-1]
-        keys = sorted_visited[first]
-        best = visitors[order][first]
-    else:
-        keys = np.empty(0, dtype=np.int64)
-        best = np.empty(0, dtype=np.int64)
+    cluster.charge_shuffle(pair_bytes * len(visited))  # combine-visitors
+    visitor_rank = ranks[visitors]
+    lowest_rank = np.full(num_vertices, np.inf)
+    np.minimum.at(lowest_rank, visited, visitor_rank)
+    tied = visitor_rank == lowest_rank[visited]
+    best_visitor = np.full(num_vertices, num_vertices, dtype=np.int64)
+    np.minimum.at(best_visitor, visited[tied], visitors[tied])
+    best_visitor[best_visitor == num_vertices] = -1
+    keys = np.flatnonzero(best_visitor >= 0)
+    best = best_visitor[keys]
     key_machines = placement_ids(keys, num_machines)
     counts = np.bincount(key_machines, minlength=num_machines).tolist()
     charge_map_stage(cluster, counts)                 # select-best-visitor
@@ -358,14 +543,16 @@ def _combine_pointers_columnar(runtime: AMPCRuntime, visits, ranks):
     pointer_store = runtime.new_store("msf-pointers")
     write_columnar_store(cluster, pointer_store,
                          ColumnarRecords.scalars(keys, best), key_machines)
-    return pointer_store
+    return pointer_store, best_visitor
 
 
-def _contract_edges_columnar(runtime: AMPCRuntime, graph, roots_pcoll):
+def _contract_edges_columnar(runtime: AMPCRuntime, graph, root_of):
     """Columnar twin of :func:`_contract_edges` (shuffles 4 and 5).
 
-    Returns the contracted records as parallel arrays ``(w, ou, ov, cu,
-    cv)`` instead of boxed tuples.  Charge replay, stage for stage:
+    ``root_of`` is the pointer-jumping result as a column (vertex id ->
+    root).  Returns the contracted records as parallel arrays ``(w, ou,
+    ov, cu, cv)`` instead of boxed tuples.  Charge replay, stage for
+    stage:
 
     * key-by-u / tag-roots: two map stages over round-robin partitions;
     * each contract join moves every tagged edge (52 bytes: int key +
@@ -395,10 +582,6 @@ def _contract_edges_columnar(runtime: AMPCRuntime, graph, roots_pcoll):
     weight = weights[forward]
     num_edges = len(ou)
 
-    root_of = np.arange(n, dtype=np.int64)
-    for vertex, root in roots_pcoll.collect():
-        root_of[vertex] = root
-
     charge_map_stage(cluster, roundrobin_counts(num_edges, num_machines))
     charge_map_stage(cluster, roundrobin_counts(n, num_machines))
     tagged_edge_bytes = _sequence_bytes((0, ("edge", (0.0, 0, 0, 0, 0))))
@@ -424,22 +607,21 @@ def _contract_edges_columnar(runtime: AMPCRuntime, graph, roots_pcoll):
     return weight[keep], ou[keep], ov[keep], cu[keep], cv[keep]
 
 
-def _kruskal_arrays(weight, ou, ov, cu, cv) -> List[EdgeId]:
+def _kruskal_arrays(weight, ou, ov, cu, cv):
     """:func:`_kruskal_records` over parallel arrays.
 
-    Identical forest, identical order: the sort key ``(w, ou, ov)`` is a
-    total order (each original edge appears once), and the union-find runs
-    over the contracted class ids relabeled to a dense range.
+    Identical forest, identical order, returned as ``(lo, hi)`` columns:
+    the sort key ``(w, ou, ov)`` is a total order (each original edge
+    appears once), and the union-find runs over the contracted class ids
+    relabeled to a dense range.
     """
     order = np.lexsort((ov, ou, weight))
     classes, dense = np.unique(np.concatenate((cu, cv)), return_inverse=True)
     dense_u = dense[:len(cu)].tolist()
     dense_v = dense[len(cu):].tolist()
     parent = list(range(len(classes)))
-    ou_list = ou.tolist()
-    ov_list = ov.tolist()
-    forest: List[EdgeId] = []
-    append = forest.append
+    chosen: List[int] = []
+    append = chosen.append
     for index in order.tolist():
         x = dense_u[index]
         while parent[x] != x:
@@ -449,10 +631,22 @@ def _kruskal_arrays(weight, ou, ov, cu, cv) -> List[EdgeId]:
             parent[y] = y = parent[parent[y]]
         if x != y:
             parent[y] = x
-            a = ou_list[index]
-            b = ov_list[index]
-            append((a, b) if a < b else (b, a))
-    return forest
+            append(index)
+    chosen = np.asarray(chosen, dtype=np.int64)
+    return (np.minimum(ou[chosen], ov[chosen]),
+            np.maximum(ou[chosen], ov[chosen]))
+
+
+def _sorted_distinct(values):
+    """Ascending distinct values of an int column (sort + adjacent test;
+    ``np.unique`` hashes, which is several times slower here)."""
+    values = np.sort(values)
+    if not len(values):
+        return values
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _default_budget(num_vertices: int, epsilon: float) -> int:
@@ -612,12 +806,16 @@ def ampc_msf(graph: WeightedGraph, *,
     artifact (from :func:`prepare_msf`) the SortGraph shuffle and KV-write
     are skipped, leaving 4.
     """
+    require_positive("search_budget", search_budget)
     if runtime is None:
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
     n = graph.num_vertices
-    ranks = vertex_ranks(n, seed)
-    budget = search_budget or _default_budget(n, epsilon)
+    ranks = _vertex_rank_column(n, seed)
+    budget = (search_budget if search_budget is not None
+              else _default_budget(n, epsilon))
+    #: flat-array stages from here on (their boxed twins charge the same)
+    columnar = HAVE_NUMPY and hasattr(graph, "csr")
 
     if prepared is None:
         prepared = prepare_msf(graph, runtime=runtime)
@@ -634,21 +832,32 @@ def ampc_msf(graph: WeightedGraph, *,
 
     with metrics.phase("PrimSearch"):
         search_output = placed.par_do(
-            _PrimSearch(store, ranks, budget, seed=seed), name="prim-search"
+            _PrimSearch(store, ranks, budget, seed), name="prim-search"
         )
-    prim_edges: Set[EdgeId] = set()
-    visits: List[Tuple[int, int]] = []
-    for tag, a, b in search_output.collect():
-        if tag == "msf":
-            prim_edges.add(a)
-        elif tag == "visit":
-            visits.append((a, b))
+    if columnar:
+        blocks = [_SearchColumns.of(outputs)
+                  for outputs in search_output.partitions()]
+        found = np.concatenate([block.msf for block in blocks])
+        # one int per canonical edge: sorts like the (lo, hi) pair
+        prim_codes = _sorted_distinct(found[:, 0] * n + found[:, 1])
+        num_prim_edges = len(prim_codes)
+        visits = np.concatenate([block.visit for block in blocks])
+    else:
+        prim_edges: Set[EdgeId] = set()
+        visits: List[Tuple[int, int]] = []
+        for tag, a, b in search_output.collect():
+            if tag == "msf":
+                prim_edges.add((a, b))
+            elif tag == "visit":
+                visits.append((a, b))
+        num_prim_edges = len(prim_edges)
 
     # Shuffle 2: combine on visited vertices -> best (min-rank) visitor.
     with metrics.phase("PointerJump"):
-        if HAVE_NUMPY:
-            pointer_store = _combine_pointers_columnar(runtime, visits,
-                                                       ranks)
+        parents = None
+        if columnar:
+            pointer_store, parents = _combine_pointers_columnar(
+                runtime, visits[:, 0], visits[:, 1], ranks)
         else:
             visit_pcoll = runtime.pipeline.from_items(visits)
             grouped = visit_pcoll.group_by_key(name="combine-visitors")
@@ -665,7 +874,7 @@ def ampc_msf(graph: WeightedGraph, *,
                                 key_fn=lambda pair: pair[0],
                                 value_fn=lambda pair: pair[1])
         runtime.next_round()
-        jumper = _PointerJump(pointer_store)
+        jumper = _PointerJump(pointer_store, parents)
         vertices = runtime.pipeline.from_items(list(graph.vertices()))
         roots = vertices.par_do(jumper, name="pointer-jump")
     runtime.next_round()
@@ -676,28 +885,27 @@ def ampc_msf(graph: WeightedGraph, *,
     # discovered edges that cross classes must stay visible to the
     # contracted solve (dropping them can force a heavier replacement).
     with metrics.phase("Contract"):
-        if HAVE_NUMPY and hasattr(graph, "csr"):
-            columns = _contract_edges_columnar(runtime, graph, roots)
+        if columnar:
+            root_pairs = np.concatenate(
+                [RowBlock.of(outputs, 2).rows
+                 for outputs in roots.partitions()])
+            root_of = np.empty(n, dtype=np.int64)
+            root_of[root_pairs[:, 0]] = root_pairs[:, 1]
+            contracted_vertices = int(
+                np.count_nonzero(root_of == np.arange(n, dtype=np.int64)))
+            columns = _contract_edges_columnar(runtime, graph, root_of)
             count = len(columns[0])
-            operations = count * max(1, count.bit_length())
-            runtime.pipeline.run_on_driver(operations)
-            # the contracted forest is a pure function of the sealed
-            # adjacency (via the deterministic Prim/pointer phases) and
-            # (seed, budget) — the driver-side solve is charged above
-            # either way, only the recomputation is skipped
-            forest_memo = None
-            if type(store) is DHTStore:
-                try:
-                    forest_memo = _FOREST_MEMO.setdefault(store, {})
-                except TypeError:
-                    forest_memo = None
-            memo_key = (seed, budget)
-            if forest_memo is not None and memo_key in forest_memo:
-                contracted_forest = forest_memo[memo_key]
-            else:
-                contracted_forest = _kruskal_arrays(*columns)
-                if forest_memo is not None:
-                    forest_memo[memo_key] = contracted_forest
+            runtime.pipeline.run_on_driver(
+                count * max(1, count.bit_length()))
+            # charged above either way; on a sealed plain store the solve
+            # itself — a function of the adjacency, the ranks and the
+            # budget — is done once
+            lo, hi = StageReplay(
+                store, ("contracted-forest", seed, budget)
+            ).driver_result(lambda: _kruskal_arrays(*columns))
+            codes = _sorted_distinct(
+                np.concatenate((prim_codes, lo * n + hi)))
+            forest = list(zip((codes // n).tolist(), (codes % n).tolist()))
         else:
             edge_records = [
                 (w, u, v, u, v) for u, v, w in graph.edges()
@@ -706,18 +914,17 @@ def ampc_msf(graph: WeightedGraph, *,
             operations = (len(contracted)
                           * max(1, len(contracted).bit_length()))
             runtime.pipeline.run_on_driver(operations)
-            contracted_forest = _kruskal_records(contracted)
+            forest = sorted(prim_edges | set(_kruskal_records(contracted)))
+            contracted_vertices = len({root for _, root in roots.collect()})
     runtime.next_round()
 
-    forest = sorted(prim_edges | set(contracted_forest))
-    root_ids = {root for _, root in roots.collect()}
     return MSFResult(
         forest=forest,
         metrics=metrics,
         # round 1 is the preparation (possibly cache-served)
         rounds=metrics.rounds - rounds_before + 1,
-        contracted_vertices=len(root_ids),
-        prim_edges=len(prim_edges),
+        contracted_vertices=contracted_vertices,
+        prim_edges=num_prim_edges,
         max_pointer_depth=jumper.max_depth,
     )
 
@@ -745,7 +952,7 @@ def truncated_prim_round(graph: WeightedGraph, *,
     """
     metrics = runtime.metrics
     n = graph.num_vertices
-    ranks = vertex_ranks(n, seed)
+    ranks = _vertex_rank_column(n, seed)
 
     if prepared_store is not None:
         # Re-placing cached records is free: the data already lives in D0.
@@ -769,14 +976,13 @@ def truncated_prim_round(graph: WeightedGraph, *,
 
     with metrics.phase("PrimSearch"):
         search_output = placed.par_do(
-            _PrimSearch(store, ranks, budget, seed=seed),
-            name="truncated-prim"
+            _PrimSearch(store, ranks, budget, seed), name="truncated-prim"
         )
     prim_edges: Set[EdgeId] = set()
     f_pointers: List[Tuple[int, int]] = []
     for tag, a, b in search_output.collect():
         if tag == "msf":
-            prim_edges.add(a)
+            prim_edges.add((a, b))
         elif tag == "ptr":
             f_pointers.append((a, b))
 
@@ -1035,7 +1241,9 @@ def ampc_msf_theory(graph: WeightedGraph, *,
 
 
 def _forest_weight(result: MSFResult, graph: WeightedGraph) -> float:
-    return sum(graph.weight(u, v) for u, v in result.forest)
+    if result.weight is None:
+        result.weight = sum(graph.weight(u, v) for u, v in result.forest)
+    return result.weight
 
 
 def _summarize(result: MSFResult, graph: WeightedGraph) -> Dict[str, float]:

@@ -19,9 +19,13 @@ cells either way.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import threading
+import weakref
+from dataclasses import fields
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.ampc.cluster import Cluster, MachineWork
+from repro.ampc.dht import DHTStore
 from repro.ampc.vector import np
 from repro.dataflow.pcollection import BudgetExceededError, PCollection
 
@@ -31,6 +35,8 @@ __all__ = [
     "machine_byte_totals",
     "write_columnar_store",
     "partition_boxed",
+    "RowBlock",
+    "StageReplay",
 ]
 
 
@@ -114,3 +120,114 @@ def partition_boxed(pipeline, items: Sequence, machine_ids) -> PCollection:
     for item, machine in zip(items, machine_ids.tolist()):
         partitions[machine].append(item)
     return PCollection(pipeline, partitions)
+
+
+class RowBlock:
+    """One machine's stage outputs as a ``(count, width)`` int64 array.
+
+    What a ``process_batch`` hook returns in place of ``count`` boxed
+    tuples: ``len()`` is the output count ``par_do`` charges, iteration
+    boxes the rows for consumers that want tuples, and columnar consumers
+    read ``rows`` directly.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @classmethod
+    def of(cls, outputs, width: int) -> "RowBlock":
+        """``outputs`` itself, or a boxed list of ``width``-tuples as one."""
+        if isinstance(outputs, cls):
+            return outputs
+        return cls(np.array(outputs, dtype=np.int64).reshape(-1, width))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+
+#: sealed plain sim store -> (lock, {stage key: {machine id: outcome}});
+#: weak, so dropping the store drops every record made against it
+_STAGE_RECORDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+_WORK_FIELDS = tuple(field.name for field in fields(MachineWork))
+
+
+class StageReplay:
+    """Replay of one adaptive query stage against a sealed plain sim store.
+
+    A query stage whose elements are a store's own records is, machine by
+    machine, a deterministic function of the store's content, of whatever
+    else its ``key`` names (stage, seed, budget) and of the cluster shape
+    and cache switch: same outputs, same :class:`MachineWork`, same
+    per-shard contention bumps.  The first run records all three per
+    machine; later runs replay them through the same ``par_do`` epilogue,
+    so compute charges, the query-budget check and fault plans see no
+    difference.
+
+    One invalidation rule: a record lives exactly as long as the store
+    object it was made against, and is only ever made against a *sealed*
+    store of exactly type :class:`DHTStore` — immutable from then on.
+    Derived overlays and backed stores never replay: every query against
+    them really reads (a backing store's traffic is what its benchmarks
+    measure), as does anything run on a store still open for writes.
+
+    The shard bumps are recorded as a before/after difference of
+    ``store.shard_reads``, so recording and replaying hold the store's
+    lock: a concurrent query on the same store cannot leak its reads
+    into the recorded window.
+    """
+
+    def __init__(self, store, key):
+        self._store = store
+        self._records = None
+        if type(store) is DHTStore and store.sealed:
+            self._lock, stages = _STAGE_RECORDS.setdefault(
+                store, (threading.Lock(), {}))
+            self._records = stages.setdefault(key, {})
+
+    def run(self, ctx, compute: Callable[[], Any]):
+        """``compute()``'s outputs for ``ctx``'s machine — charged to
+        ``ctx.work`` and the store by ``compute`` itself the first time,
+        replayed from the record afterwards."""
+        records = self._records
+        if records is None:
+            return compute()
+        config = ctx.cluster.config
+        slot = (config.num_machines, config.caching, ctx.machine_id)
+        work = ctx.work
+        shard_reads = self._store.shard_reads
+        with self._lock:
+            entry = records.get(slot)
+            if entry is not None:
+                outputs, work_deltas, shard_deltas = entry
+                for name, delta in zip(_WORK_FIELDS, work_deltas):
+                    setattr(work, name, getattr(work, name) + delta)
+                for shard, delta in enumerate(shard_deltas):
+                    shard_reads[shard] += delta
+                return outputs
+            work_before = [getattr(work, name) for name in _WORK_FIELDS]
+            shards_before = list(shard_reads)
+            outputs = compute()
+            records[slot] = (
+                outputs,
+                [getattr(work, name) - start
+                 for name, start in zip(_WORK_FIELDS, work_before)],
+                [after - start
+                 for after, start in zip(shard_reads, shards_before)],
+            )
+            return outputs
+
+    def driver_result(self, compute: Callable[[], Any]):
+        """A driver-side pure function of the same store and key (no
+        charges of its own), computed once."""
+        records = self._records
+        if records is None:
+            return compute()
+        if "driver" not in records:
+            records["driver"] = compute()
+        return records["driver"]

@@ -15,9 +15,11 @@ number:
   accounting over a batch of keys — the per-query batching the paper (and
   the MPC connectivity line of work) uses to amortize KV round trips.
   They charge exactly what the equivalent sequence of single calls would.
-* A DoFn that knows its whole partition's work up front may override
+* A DoFn that can serve its whole partition at once may override
   :attr:`DoFn.process_batch`; ``par_do`` then makes one call per machine
-  instead of one per element.
+  instead of one per element.  The adaptive query phases use it to keep
+  a machine's independent searches in flight together (Section 5.3's
+  multithreading): one ``lookup_many`` per frontier sweep.
 """
 
 from __future__ import annotations
@@ -59,9 +61,12 @@ class MachineContext:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         values, value_bytes = store.lookup_many(keys)
-        key_bytes = 0
-        for key in keys:
-            key_bytes += 8 if type(key) is int else estimate_bytes(key)
+        if len(keys) >= 32 and set(map(type, keys)) <= {int}:
+            key_bytes = 8 * len(keys)  # vertex ids: no per-key walk
+        else:
+            key_bytes = 0
+            for key in keys:
+                key_bytes += 8 if type(key) is int else estimate_bytes(key)
         work = self.work
         work.kv_reads += len(values)
         work.kv_read_bytes += key_bytes + value_bytes
@@ -110,11 +115,14 @@ class DoFn:
     optimization's table) is created.
     """
 
-    #: Optional bulk hook.  A subclass whose per-element work needs no
-    #: adaptivity (every KV key is known up front — e.g. a store-writing
-    #: ParDo) may set this to a method ``process_batch(elements, ctx)``
-    #: returning the stage's outputs; ``par_do`` then calls it once per
-    #: machine with the whole partition instead of once per element.
+    #: Optional bulk hook.  A subclass that can serve a machine's whole
+    #: partition at once — every KV key known up front (a store-writing
+    #: ParDo), or independent adaptive searches advanced together as a
+    #: frontier sweep — may set this to a method ``process_batch(elements,
+    #: ctx)`` returning the stage's outputs; ``par_do`` then calls it once
+    #: per machine instead of once per element.  The outputs may be a
+    #: sized column block (``__len__`` = the boxed output count ``par_do``
+    #: charges, ``__iter__`` = the boxed outputs) instead of a list.
     process_batch = None
 
     def start_machine(self, ctx: MachineContext) -> None:

@@ -58,7 +58,11 @@ class PCollection:
                     for element in partition:
                         extend(fn(element))
             elif process_batch is not None:
-                outputs = list(process_batch(partition, ctx))
+                # a batch hook may hand back a sized column block in
+                # place of boxed outputs; only its length is charged
+                outputs = process_batch(partition, ctx)
+                if not hasattr(outputs, "__len__"):
+                    outputs = list(outputs)
             else:
                 outputs = []
                 extend = outputs.extend
@@ -167,6 +171,10 @@ class PCollection:
         for partition in self._partitions:
             result.extend(partition)
         return result
+
+    def partitions(self) -> List[Any]:
+        """The per-machine partitions, machine order (column blocks intact)."""
+        return list(self._partitions)
 
     def count(self) -> int:
         return sum(len(partition) for partition in self._partitions)

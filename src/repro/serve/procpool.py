@@ -167,6 +167,10 @@ def _worker_main(conn, index: int, config: Optional[ClusterConfig],
     already passed while queued in the pipe is answered with
     :class:`~repro.serve.pool.DeadlineExceededError` without executing.
     """
+    # A forked worker inherits the dispatcher's loaded registry and this
+    # is a no-op; a spawned one imports the spec modules here, at start-up,
+    # instead of inside its first query.
+    registry.specs()
     backend, dht_nodes, replication = backend_spec
     session = Session(config, fault_plan=fault_plan,
                       strict_rounds=strict_rounds,
@@ -623,6 +627,9 @@ class ProcessGraphService(ServiceBase):
         self._admission_queue_factor = admission_queue_factor
         self._admission_decay_s = admission_decay_s
         self._heartbeat_interval_s = heartbeat_interval_s
+        # import every spec module before the first fork: fresh, respawned
+        # and autoscaled workers start with the registry already loaded
+        registry.specs()
         self._clients = [self._spawn(index) for index in range(processes)]
         self._handles: Dict[str, GraphHandle] = {}
         self._pinned: Dict[str, Any] = {}

@@ -422,3 +422,48 @@ class TestProtocol:
                 assert not thread.is_alive()
             finally:
                 server.close()
+
+
+@pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+def test_workers_start_with_the_registry_loaded(mp_context):
+    """The ~0.3 s first-use import of every spec module is paid before
+    the first fork — never inside a worker's first query.  A fresh
+    interpreter constructs a service; under ``fork`` the worker entry
+    point asserts it inherited a loaded registry (a spawned worker loads
+    it itself, first thing, and is only checked to serve)."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(f"""
+        import sys
+        from repro.api import registry
+        from repro.graph.generators import erdos_renyi_gnm
+        from repro.serve import ProcessGraphService, procpool
+
+        assert not registry._LOADED
+        worker_main = procpool._worker_main
+
+        def checked_worker_main(*args, **kwargs):
+            assert registry._LOADED, "forked before the registry loaded"
+            worker_main(*args, **kwargs)
+
+        if {mp_context!r} == "fork":
+            procpool._worker_main = checked_worker_main
+        with ProcessGraphService(processes=1,
+                                 mp_context={mp_context!r}) as service:
+            assert registry._LOADED
+            assert "repro.baselines.local_contraction_cc" in sys.modules
+            service.load("g", erdos_renyi_gnm(12, 20, seed=1))
+            result = service.query("mis", "g", timeout=120)
+            assert result.summary["output_size"] > 0
+        print("ok")
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+        + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "ok"

@@ -147,3 +147,73 @@ def test_serve_subcommand_over_stdio():
     assert [r["ok"] for r in responses] == [True, True, True]
     assert responses[1]["result"]["algorithm"] == "mis"
     assert responses[2]["bye"]
+
+
+def test_serve_sigterm_is_an_orderly_shutdown():
+    """SIGTERM must run the same cleanup as the ``shutdown`` op: exit
+    status 0, no worker process left behind (they used to survive,
+    re-parented to init), no shared-memory segment leaked."""
+    import glob
+    import json
+    import os
+    import signal
+    import socket
+    import subprocess
+    import sys
+    import time
+
+    def descendants(pid):
+        """Live pids whose process group is the server's."""
+        found = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            # fields after the command name: state, ppid, pgrp, ...
+            if int(fields[2]) == pid and fields[0] != "Z":
+                found.append(int(entry))
+        return found
+
+    segments_before = set(glob.glob("/dev/shm/psm_*"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--machines", "2", "--processes", "2", "--backend", "shm"],
+        stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)  # its own process group: pgid == pid
+    try:
+        banner = server.stderr.readline()
+        host, port = banner.split()[-1].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), 60) as conn:
+            stream = conn.makefile("rw", encoding="utf-8")
+            for request in (
+                    {"op": "load", "name": "g",
+                     "edges": [[0, 1], [1, 2], [2, 0], [2, 3]]},
+                    {"op": "run", "algorithm": "mis", "graph": "g"}):
+                stream.write(json.dumps(request) + "\n")
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
+            assert len(descendants(server.pid)) >= 3  # server + 2 workers
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(60) == 0
+        # the workers' resource tracker exits once its owners have
+        deadline = time.monotonic() + 30
+        while descendants(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert descendants(server.pid) == []
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments_before
+    finally:
+        if server.poll() is None:
+            server.kill()
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.stderr.close()
