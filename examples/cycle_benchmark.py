@@ -20,7 +20,7 @@ def main():
     config = ClusterConfig(num_machines=10)
     print(f"{'instance':>12} {'truth':>6} {'AMPC':>14} {'MPC':>18} "
           f"{'speedup':>8}")
-    for k in (1_000, 10_000, 50_000):
+    for k in (1_000, 10_000, 15_000):
         for two in (False, True):
             graph = cycle_instance(k, two=two, seed=5)
             truth = 2 if two else 1

@@ -23,9 +23,8 @@ Boxing (``items()``) happens once, lazily, when a store or a PCollection
 needs the actual Python objects; the boxed form is cached so the store
 write and the returned records share one materialization.
 
-This module is numpy-backed: callers construct ColumnarRecords only on
-the ``vector.HAVE_NUMPY`` fast paths (the pure-python mode keeps the
-per-element reference paths, which are charge-identical).
+The columns are numpy arrays; this is the only record layout the prepare
+stages produce.
 """
 
 from __future__ import annotations
@@ -34,7 +33,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ampc.vector import HAVE_NUMPY, np, placement_ids
+import numpy as np
+
+from repro.ampc.vector import placement_ids
 
 __all__ = ["ColumnarRecords", "unbox_rows"]
 
@@ -45,10 +46,6 @@ class ColumnarRecords:
     __slots__ = ("keys", "indptr", "cols", "_items", "_sizes")
 
     def __init__(self, keys, indptr, cols):
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "ColumnarRecords needs numpy; callers must check "
-                "vector.HAVE_NUMPY and stay on the boxed paths without it")
         self.keys = np.asarray(keys, dtype=np.int64)
         self.indptr = (None if indptr is None
                        else np.asarray(indptr, dtype=np.int64))

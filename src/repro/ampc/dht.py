@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.ampc.cost_model import estimate_bytes
 from repro.ampc.hashing import _MASK, _SEED, stable_hash
-from repro.ampc.vector import HAVE_NUMPY, np, placement_ids
+from repro.ampc.vector import placement_ids
 
 #: below this many keys a batched read routes key by key (the vectorised
 #: pass has a fixed cost of a few array round trips)
@@ -281,7 +283,7 @@ class DHTStore:
         ``shard_reads``.  Anything else is left to the caller's per-key
         loop (None).
         """
-        if not HAVE_NUMPY or not set(map(type, keys)) <= {int}:
+        if not set(map(type, keys)) <= {int}:
             return None
         try:
             column = np.asarray(keys, dtype=np.int64)

@@ -27,18 +27,21 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.ampc.cluster import ClusterConfig
 from repro.ampc.columnar import ColumnarRecords
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
-from repro.ampc.vector import HAVE_NUMPY, hash_ranks, np, placement_ids
+from repro.ampc.vector import hash_ranks, placement_ids
 from repro.api.incremental import patch_records, touched_vertices
 from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
                                 require_positive)
 from repro.core.ranks import hash_rank
-from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
-                                     roundrobin_counts, write_columnar_store)
+from repro.dataflow.columnar import (StageReplay, charge_map_stage,
+                                     place_prepared, roundrobin_counts,
+                                     write_columnar_store)
 from repro.dataflow.dofn import DoFn, MachineContext
 from repro.graph.graph import Graph, edge_key
 
@@ -56,17 +59,6 @@ _PARKED = object()
 #: store object (the Session serves cached artifacts by identity) without
 #: moving any metric.  Weak keys: evicting an artifact frees its memo.
 _LOWER_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: per-store memo of whole vertex-search outcomes.  Against a *sealed*
-#: plain sim store, a ParDo stage's element sequence per machine is a
-#: deterministic function of (store content, seed, budget, machine
-#: count), and so is the evolution of the per-machine cache across that
-#: sequence — so the outcome of element ``i`` on machine ``m`` and its
-#: exact charge profile (cache hits, KV reads/bytes, per-shard
-#: contention bumps) can be replayed verbatim on a later run.  Keyed by
-#: (seed, budget) then (machine, index, vertex); any divergence in the
-#: sequence simply misses the memo and records fresh.
-_SEARCH_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -105,6 +97,11 @@ class _IsInMM(DoFn):
     For each vertex, walk its incident edges in rank order; each edge is
     resolved by the recursive edge process (an edge joins the matching iff
     no lower-rank incident edge does).  Stops at the first matched edge.
+
+    A machine's searches share the per-vertex cache, so what one is
+    charged depends on those before it: they run one at a time, in
+    partition order, and :meth:`process_batch` is that loop under a
+    :class:`~repro.dataflow.columnar.StageReplay`.
     """
 
     def __init__(self, store: DHTStore, seed: int, *,
@@ -119,66 +116,30 @@ class _IsInMM(DoFn):
             self._lower_memo = _LOWER_MEMO.setdefault(store, {})
         except TypeError:  # a store that cannot be weakly referenced
             self._lower_memo = {}
-        self._search_memo = None
-        if resolved_store is None and type(store) is DHTStore:
-            try:
-                per_store = _SEARCH_MEMO.setdefault(store, {})
-            except TypeError:
-                per_store = None
-            if per_store is not None:
-                self._search_memo = per_store.setdefault((seed, budget), {})
-        self._elem_index = 0
+        # round 1 runs the store's own records in partition order, so the
+        # cache evolves the same way every time; later truncated rounds
+        # also depend on the states committed so far
+        self._replay = StageReplay(
+            store if resolved_store is None else None,
+            ("is-in-mm", seed, budget))
 
     def start_machine(self, ctx: MachineContext) -> None:
         self._cache = {} if ctx.caching_enabled else None
-        self._elem_index = 0
 
     def process(self, element, ctx):
         vertex, incident = element
-        # whole-element replay only holds with the per-machine cache on
-        # (its evolution is part of the recorded charge profile)
-        memo = self._search_memo if self._cache is not None else None
-        if memo is None:
-            outcome = self._vertex_search(vertex, incident, ctx)
-        else:
-            index = self._elem_index
-            self._elem_index = index + 1
-            # the machine count pins the whole partition layout, and with
-            # it the cache-evolution prefix the recorded charges assume
-            key = (ctx.cluster.config.num_machines, ctx.machine_id, index,
-                   vertex)
-            entry = memo.get(key)
-            shard_reads = self._store.shard_reads
-            if entry is not None:
-                outcome, hits, reads, read_bytes, shard_deltas = entry
-                work = ctx.work
-                work.cache_hits += hits
-                work.kv_reads += reads
-                work.kv_read_bytes += read_bytes
-                for shard, delta in shard_deltas:
-                    shard_reads[shard] += delta
-            else:
-                work = ctx.work
-                hits0 = work.cache_hits
-                reads0 = work.kv_reads
-                bytes0 = work.kv_read_bytes
-                shards0 = list(shard_reads)
-                outcome = self._vertex_search(vertex, incident, ctx)
-                memo[key] = (
-                    outcome,
-                    work.cache_hits - hits0,
-                    work.kv_reads - reads0,
-                    work.kv_read_bytes - bytes0,
-                    tuple((shard, after - before) for shard, (after, before)
-                          in enumerate(zip(shard_reads, shards0))
-                          if after != before),
-                )
+        outcome = self._vertex_search(vertex, incident, ctx)
         if outcome is _PARKED:
             yield ("parked", vertex, incident)
         elif outcome is not None:
             # Each matched edge is reported by both endpoints; the driver's
             # result set deduplicates.
             yield ("matched", vertex, outcome)
+
+    def process_batch(self, partition, ctx):
+        return self._replay.run(ctx, lambda: [
+            output for element in partition
+            for output in self.process(element, ctx)])
 
     # -- vertex state ------------------------------------------------------
 
@@ -531,29 +492,37 @@ class PreparedMatching:
     #: ``(vertex, rank-sorted incident edges)`` records
     records: List[Tuple[int, Tuple[Tuple[float, int], ...]]]
     store: DHTStore
-    #: ``(num_machines, per-record machine ids)`` precomputed by the
-    #: columnar prepare (None on the boxed path) — lets runs on the same
-    #: cluster shape re-place records without re-hashing every key
+    #: ``(num_machines, per-record machine ids)`` as
+    #: :func:`prepare_matching` placed them (None after
+    #: :func:`update_matching`) — lets runs on the same cluster shape
+    #: re-place records without re-hashing every key
     machines: Optional[Tuple[int, object]] = None
 
 
-def _prepare_matching_columnar(graph, runtime: AMPCRuntime,
-                               seed: int) -> PreparedMatching:
-    """Columnar twin of :func:`prepare_matching`: same charges, flat arrays.
+def prepare_matching(graph: Graph, *,
+                     runtime: Optional[AMPCRuntime] = None,
+                     config: Optional[ClusterConfig] = None,
+                     seed: int = 0) -> PreparedMatching:
+    """The matching preprocessing: permute edges by rank, write to the DHT.
 
-    The edge-permuted graph is one vectorized rank pass plus one lexsort
-    over the CSR edge columns; see :func:`repro.core.mis._prepare_mis_columnar`
-    for the record-order reasoning (identical here).
+    One shuffle plus the KV-write round — cacheable across runs.  The
+    edge-permuted graph is one vectorized rank pass plus one lexsort over
+    the CSR edge columns; stage charges and record order follow
+    :func:`repro.core.mis.prepare_mis` (``permute-edges`` map,
+    ``place-permuted-graph`` repartition, store write).
     """
+    if runtime is None:
+        runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
     cluster = runtime.cluster
     num_machines = cluster.config.num_machines
     csr = graph.csr()
     n = csr.num_vertices
 
+    # Round 1: the one shuffle — the edge-permuted (rank-sorted) graph.
     with metrics.phase("PermuteGraph"):
-        indptr = np.asarray(csr.indptr)
-        dst = np.asarray(csr.indices)
+        indptr = csr.indptr
+        dst = csr.indices
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
@@ -581,43 +550,6 @@ def _prepare_matching_columnar(graph, runtime: AMPCRuntime,
     runtime.next_round()
     return PreparedMatching(seed=seed, records=records.items(), store=store,
                             machines=(num_machines, record_machines))
-
-
-def prepare_matching(graph: Graph, *,
-                     runtime: Optional[AMPCRuntime] = None,
-                     config: Optional[ClusterConfig] = None,
-                     seed: int = 0) -> PreparedMatching:
-    """The matching preprocessing: permute edges by rank, write to the DHT.
-
-    One shuffle plus the KV-write round — cacheable across runs.
-    """
-    if runtime is None:
-        runtime = AMPCRuntime(config=config)
-    if HAVE_NUMPY and hasattr(graph, "csr"):
-        return _prepare_matching_columnar(graph, runtime, seed)
-    metrics = runtime.metrics
-
-    # Round 1: the one shuffle — the edge-permuted (rank-sorted) graph.
-    with metrics.phase("PermuteGraph"):
-        nodes = runtime.pipeline.from_items(
-            [(v, graph.neighbors(v)) for v in graph.vertices()]
-        )
-        permuted = nodes.map_elements(
-            lambda record: (record[0],
-                            _permuted_incident(record[0], record[1], seed)),
-            name="permute-edges",
-        )
-        permuted = permuted.repartition(lambda record: record[0],
-                                        name="place-permuted-graph")
-
-    with metrics.phase("KV-Write"):
-        store = runtime.new_store("mm-permuted-graph")
-        runtime.write_store(permuted, store,
-                            key_fn=lambda record: record[0],
-                            value_fn=lambda record: record[1])
-    runtime.next_round()
-    return PreparedMatching(seed=seed, records=permuted.collect(),
-                            store=store)
 
 
 def update_matching(prepared: PreparedMatching, graph: Graph, *,
@@ -685,14 +617,7 @@ def ampc_maximal_matching(graph: Graph, *,
         )
     store = prepared.store
     rounds_before = metrics.rounds
-    if (prepared.machines is not None and prepared.machines[0]
-            == runtime.cluster.config.num_machines):
-        permuted = partition_boxed(runtime.pipeline, prepared.records,
-                                   prepared.machines[1])
-    else:
-        permuted = runtime.pipeline.from_items(
-            prepared.records, key_fn=lambda record: record[0]
-        )
+    permuted = place_prepared(runtime.pipeline, prepared)
 
     matching: Set[EdgeId] = set()
     pending = permuted

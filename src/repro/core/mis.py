@@ -30,19 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.ampc.cluster import ClusterConfig
 from repro.ampc.columnar import ColumnarRecords, unbox_rows
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
-from repro.ampc.vector import (HAVE_NUMPY, np, placement_ids,
-                               vertex_ranks_u64)
+from repro.ampc.vector import placement_ids, vertex_ranks_u64
 from repro.api.incremental import patch_records, touched_vertices
 from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
                                 require_positive)
 from repro.core.ranks import vertex_ranks
 from repro.dataflow.columnar import (StageReplay, charge_map_stage,
-                                     partition_boxed, roundrobin_counts,
+                                     place_prepared, roundrobin_counts,
                                      write_columnar_store)
 from repro.dataflow.dofn import DoFn, MachineContext
 from repro.graph.graph import Graph
@@ -127,8 +128,8 @@ class _IsInMIS(DoFn):
     * :meth:`_resolve` walks one vertex at a time with an explicit stack.
       It serves what the sweep cannot — a per-search ``budget`` (parking
       depends on the order searches ran in), a ``resolved_store`` from an
-      earlier truncated round, the per-machine cache switched off, no
-      numpy — and is the oracle the sweep is tested against.
+      earlier truncated round, the per-machine cache switched off — and
+      is the oracle the sweep is tested against.
     * :meth:`_sweep` keeps all of a machine's searches in flight at once
       (Section 5.3's multithreading): the unbudgeted, cache-on descent
       probes a set of vertices that does not depend on the order of the
@@ -154,8 +155,8 @@ class _IsInMIS(DoFn):
         self._records = records
         self._num_vertices = num_vertices
         self._in_mis = None
-        self._sweeps = (HAVE_NUMPY and records is not None
-                        and budget is None and resolved_store is None)
+        self._sweeps = (records is not None and budget is None
+                        and resolved_store is None)
         # a first-round outcome is a function of the store alone; later
         # truncated rounds also depend on the states committed so far
         self._replay = StageReplay(
@@ -338,24 +339,31 @@ class PreparedMIS:
     #: ``(vertex, lower-rank neighbors)`` records, for free re-placement
     records: List[Tuple[int, Tuple[int, ...]]]
     store: DHTStore
-    #: ``(num_machines, per-record machine ids)`` precomputed by the
-    #: columnar prepare (None on the boxed path) — lets runs on the same
+    #: ``(num_machines, per-record machine ids)`` as :func:`prepare_mis`
+    #: placed them (None after :func:`update_mis`) — lets runs on the same
     #: cluster shape re-place records without re-hashing every key
     machines: Optional[Tuple[int, object]] = None
 
 
-def _prepare_mis_columnar(graph, runtime: AMPCRuntime,
-                          seed: int) -> PreparedMIS:
-    """Columnar twin of :func:`prepare_mis`: same charges, flat arrays.
+def prepare_mis(graph: Graph, *,
+                runtime: Optional[AMPCRuntime] = None,
+                config: Optional[ClusterConfig] = None,
+                seed: int = 0) -> PreparedMIS:
+    """Figure 1, steps 1-2: direct the graph by rank and write it to the DHT.
 
-    The rank-directed graph is built by one vectorized mask + lexsort
-    over the CSR edge columns instead of a per-vertex filter/sort, and
-    the stage charges are replayed from per-machine counts
-    (:mod:`repro.dataflow.columnar`).  Record order — and therefore the
-    store's per-shard insertion order and every downstream metric — is
-    the boxed pipeline's machine-major scan order, reproduced by sorting
-    vertices by ``(machine, source partition, position)``.
+    This is the MIS preprocessing every query shares — one shuffle plus
+    the KV-write round.  The rank-directed graph is built by one
+    vectorized mask + lexsort over the CSR edge columns, and the stages
+    are charged from per-machine counts (:mod:`repro.dataflow.columnar`):
+    a keyless ``from_items`` of the vertices (free), the ``direct-edges``
+    map, the ``place-directed-graph`` repartition, the store write.
+    Record order — and therefore the store's per-shard insertion order and
+    every downstream metric — is that pipeline's machine-major scan
+    order, reproduced by sorting vertices by ``(machine, source
+    partition, position)``.
     """
+    if runtime is None:
+        runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
     cluster = runtime.cluster
     num_machines = cluster.config.num_machines
@@ -363,9 +371,10 @@ def _prepare_mis_columnar(graph, runtime: AMPCRuntime,
     n = csr.num_vertices
     rank_column = vertex_ranks_u64(n, seed)
 
+    # Round 1: build + shuffle the rank-directed graph (Figure 1, step 1).
     with metrics.phase("DirectGraph"):
-        indptr = np.asarray(csr.indptr)
-        dst = np.asarray(csr.indices)
+        indptr = csr.indptr
+        dst = csr.indices
         degrees = np.diff(indptr)
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         # keep u -> v iff (rank_v, v) < (rank_u, u), the lower-rank filter
@@ -375,7 +384,7 @@ def _prepare_mis_columnar(graph, runtime: AMPCRuntime,
         kept_src = src[keep]
         kept_dst = dst[keep]
         kept_rank = rank_dst[keep]
-        # Scan order of the boxed repartition: the round-robin source
+        # Scan order of the repartition: the round-robin source
         # partition of vertex v is v % M, so machine m receives its
         # records sorted by (v % M, v); payload rows sort by (rank, id).
         keys = np.arange(n, dtype=np.int64)
@@ -395,6 +404,7 @@ def _prepare_mis_columnar(graph, runtime: AMPCRuntime,
         charge_map_stage(cluster, roundrobin_counts(n, num_machines))
         cluster.charge_shuffle(records.total_element_bytes())
 
+    # Figure 1, step 2: write the directed graph to the key-value store.
     with metrics.phase("KV-Write"):
         store = runtime.new_store("mis-directed-graph")
         write_columnar_store(cluster, store, records, record_machines)
@@ -402,45 +412,6 @@ def _prepare_mis_columnar(graph, runtime: AMPCRuntime,
     return PreparedMIS(seed=seed, ranks=rank_column.tolist(),
                        records=records.items(), store=store,
                        machines=(num_machines, record_machines))
-
-
-def prepare_mis(graph: Graph, *,
-                runtime: Optional[AMPCRuntime] = None,
-                config: Optional[ClusterConfig] = None,
-                seed: int = 0) -> PreparedMIS:
-    """Figure 1, steps 1-2: direct the graph by rank and write it to the DHT.
-
-    This is the MIS preprocessing every query shares — one shuffle plus
-    the KV-write round.
-    """
-    if runtime is None:
-        runtime = AMPCRuntime(config=config)
-    if HAVE_NUMPY and hasattr(graph, "csr"):
-        return _prepare_mis_columnar(graph, runtime, seed)
-    metrics = runtime.metrics
-    ranks = vertex_ranks(graph.num_vertices, seed)
-
-    # Round 1: build + shuffle the rank-directed graph (Figure 1, step 1).
-    with metrics.phase("DirectGraph"):
-        nodes = runtime.pipeline.from_items(
-            [(v, graph.neighbors(v)) for v in graph.vertices()]
-        )
-        directed = nodes.map_elements(
-            lambda record: (record[0], _direct_neighbors(record[0], record[1], ranks)),
-            name="direct-edges",
-        )
-        directed = directed.repartition(lambda record: record[0],
-                                        name="place-directed-graph")
-
-    # Figure 1, step 2: write the directed graph to the key-value store.
-    with metrics.phase("KV-Write"):
-        store = runtime.new_store("mis-directed-graph")
-        runtime.write_store(directed, store,
-                            key_fn=lambda record: record[0],
-                            value_fn=lambda record: record[1])
-    runtime.next_round()
-    return PreparedMIS(seed=seed, ranks=ranks, records=directed.collect(),
-                       store=store)
 
 
 def update_mis(prepared: PreparedMIS, graph: Graph, *,
@@ -513,15 +484,7 @@ def ampc_mis(graph: Graph, *,
     ranks = prepared.ranks
     store = prepared.store
     rounds_before = metrics.rounds
-    # Re-placing cached records is free: the data already lives in D0.
-    if (prepared.machines is not None and prepared.machines[0]
-            == runtime.cluster.config.num_machines):
-        directed = partition_boxed(runtime.pipeline, prepared.records,
-                                   prepared.machines[1])
-    else:
-        directed = runtime.pipeline.from_items(
-            prepared.records, key_fn=lambda record: record[0]
-        )
+    directed = place_prepared(runtime.pipeline, prepared)
 
     # Figure 1, step 3 (+ theory retries when a budget is set).
     in_mis: Set[int] = set()

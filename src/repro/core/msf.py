@@ -29,8 +29,7 @@ The two adaptive phases of the practical pipeline, PrimSearch and
 PointerJump, keep all of a machine's searches in flight together — the
 paper's multithreading (Section 5.3) — as frontier sweeps with one batched
 KV read per sweep (:meth:`_PrimSearch._sweep`, :meth:`_PointerJump._sweep`);
-the one-search-at-a-time forms beside them are the reference, and what
-runs without numpy.
+the one-search-at-a-time forms beside them are the reference.
 
 All variants carry the *original* endpoints of every edge through
 contraction and solve with the strict total order (weight, endpoints), so
@@ -46,20 +45,20 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.ampc.cluster import ClusterConfig
 from repro.ampc.columnar import ColumnarRecords, unbox_rows
 from repro.ampc.cost_model import _sequence_bytes
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
-from repro.ampc.vector import (HAVE_NUMPY, np, placement_ids,
-                               vertex_ranks_u64)
+from repro.ampc.vector import placement_ids, vertex_ranks_u64
 from repro.api.incremental import patch_records, touched_vertices
 from repro.api.registry import (AlgorithmSpec, ParamSpec, register_algorithm,
                                 require_positive)
-from repro.core.ranks import vertex_ranks
 from repro.dataflow.columnar import (RowBlock, StageReplay, charge_map_stage,
-                                     partition_boxed, roundrobin_counts,
+                                     place_prepared, roundrobin_counts,
                                      write_columnar_store)
 from repro.dataflow.dofn import DoFn, MachineContext
 from repro.graph.graph import WeightedGraph, edge_key
@@ -93,16 +92,8 @@ class MSFResult:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_rank_column(num_vertices: int, seed: int):
-    """``hash_rank(seed, v)`` per vertex: a float64 column, or a list
-    without numpy (bit-identical values either way)."""
-    if HAVE_NUMPY:
-        return vertex_ranks_u64(num_vertices, seed)
-    return vertex_ranks(num_vertices, seed)
-
-
 #: the stored adjacency rows: ``(neighbor, weight)``
-_ADJACENCY_DTYPES = (np.int64, np.float64) if HAVE_NUMPY else ()
+_ADJACENCY_DTYPES = (np.int64, np.float64)
 
 
 class _SearchColumns:
@@ -154,8 +145,8 @@ class _PrimSearch(DoFn):
     so a machine advances all of its searches together, one Prim step
     per sweep and one ``lookup_many`` per sweep (:meth:`_sweep`; the
     concurrency Section 5.3's multithreading buys).  :meth:`_search` is
-    the one-search-at-a-time form: the path without numpy, and the
-    oracle the sweep is tested against.
+    the one-search-at-a-time form, the oracle the sweep is tested
+    against.
     """
 
     def __init__(self, store: DHTStore, ranks: Sequence[float], budget: int,
@@ -170,14 +161,7 @@ class _PrimSearch(DoFn):
         return self._search(element, ctx)
 
     def process_batch(self, partition, ctx):
-        return self._replay.run(
-            ctx, lambda: self._machine_outputs(partition, ctx))
-
-    def _machine_outputs(self, partition, ctx):
-        if HAVE_NUMPY:
-            return self._sweep(partition, ctx)
-        return list(chain.from_iterable(
-            self._search(element, ctx) for element in partition))
+        return self._replay.run(ctx, lambda: self._sweep(partition, ctx))
 
     def _search(self, element, ctx):
         vertex, incident = element
@@ -505,21 +489,19 @@ def _kruskal_records(records: Iterable[EdgeRecord]) -> List[EdgeId]:
     return forest
 
 
-def _combine_pointers_columnar(runtime: AMPCRuntime, visited, visitors,
-                               ranks):
-    """Columnar twin of the Combine stage chain (shuffles 2 and 3).
+def _combine_pointers(runtime: AMPCRuntime, visited, visitors, ranks):
+    """The Combine stage chain (shuffles 2 and 3) over flat arrays.
 
     ``visited`` / ``visitors`` are the parallel columns of the searches'
-    ``("visit", visited, visitor)`` outputs.  Replays the boxed
-    ``group_by_key`` → ``select-best-visitor`` → ``repartition`` →
-    store-write sequence — same charges in the same stage order — from
-    flat arrays.  The best (min ``(rank, id)``) visitor per visited
-    vertex is unique, so two scatter-min passes (lowest rank, then lowest
-    id among the ties) select exactly what the boxed ``min`` picked;
-    element order inside the intermediate stages is not metrics-visible
-    (the charges are counts and byte totals, and the pointer store is a
-    key-value map).  Returns the store and the pointer map as a column
-    (vertex -> best visitor, -1 where nobody visited).
+    ``("visit", visited, visitor)`` outputs.  Charges, in stage order,
+    what the dataflow ``group_by_key`` → ``select-best-visitor`` map →
+    ``repartition`` → store-write sequence charges.  The best (min
+    ``(rank, id)``) visitor per visited vertex is unique, so two
+    scatter-min passes (lowest rank, then lowest id among the ties)
+    select it; element order inside the intermediate stages is not
+    metrics-visible (the charges are counts and byte totals, and the
+    pointer store is a key-value map).  Returns the store and the pointer
+    map as a column (vertex -> best visitor, -1 where nobody visited).
     """
     cluster = runtime.cluster
     num_machines = cluster.config.num_machines
@@ -571,15 +553,12 @@ def _contract_edges_columnar(runtime: AMPCRuntime, graph, root_of):
     num_machines = cluster.config.num_machines
     csr = graph.csr()
     n = csr.num_vertices
-    indptr = np.asarray(csr.indptr)
-    dst = np.asarray(csr.indices)
-    weights = (np.asarray(csr.weights) if csr.weights is not None
-               else np.zeros(len(dst), dtype=np.float64))
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    dst = csr.indices
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
     forward = src < dst
     ou = src[forward]
     ov = dst[forward]
-    weight = weights[forward]
+    weight = csr.weights[forward]
     num_edges = len(ou)
 
     charge_map_stage(cluster, roundrobin_counts(num_edges, num_machines))
@@ -672,36 +651,41 @@ class PreparedMSF:
     #: ``(vertex, weight-sorted incident edges)`` records
     records: List[Tuple[int, Tuple[Tuple[int, float], ...]]]
     store: DHTStore
-    #: ``(num_machines, per-record machine ids)`` precomputed by the
-    #: columnar prepare (None on the boxed path) — lets runs on the same
+    #: ``(num_machines, per-record machine ids)`` as :func:`prepare_msf`
+    #: placed them (None after :func:`update_msf`) — lets runs on the same
     #: cluster shape re-place records without re-hashing every key
     machines: Optional[Tuple[int, object]] = None
 
 
-def _prepare_msf_columnar(graph, runtime: AMPCRuntime) -> PreparedMSF:
-    """Columnar twin of :func:`prepare_msf`: same charges, flat arrays.
+def prepare_msf(graph: WeightedGraph, *,
+                runtime: Optional[AMPCRuntime] = None,
+                config: Optional[ClusterConfig] = None,
+                seed: int = 0) -> PreparedMSF:
+    """The MSF preprocessing: sort adjacency by weight, write to the DHT.
 
-    One lexsort orders every incident list by the edge total order
-    ``(weight, canonical endpoints)``; weights ride as a float64 column
-    (``WeightedGraph.add_edge`` declares float weights).  There is no map
-    stage here — the boxed pipeline goes straight from ``from_items``
-    (free) to the placement shuffle — so only the shuffle and KV-write
-    charges are replayed.  Record-order reasoning as in
-    :func:`repro.core.mis._prepare_mis_columnar`.
+    ``seed`` is accepted for interface uniformity but unused — the sorted
+    adjacency does not depend on it.  One lexsort orders every incident
+    list by the edge total order ``(weight, canonical endpoints)``;
+    weights ride as a float64 column (``WeightedGraph.add_edge`` declares
+    float weights).  There is no map stage — the pipeline goes straight
+    from a free ``from_items`` to the ``place-sorted-graph`` shuffle — so
+    only the shuffle and the KV-write are charged.  Record-order
+    reasoning as in :func:`repro.core.mis.prepare_mis`.
     """
+    del seed
+    if runtime is None:
+        runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
     cluster = runtime.cluster
     num_machines = cluster.config.num_machines
     csr = graph.csr()
     n = csr.num_vertices
 
+    # Shuffle 1: weight-sorted adjacency onto its home machines.
     with metrics.phase("SortGraph"):
-        indptr = np.asarray(csr.indptr)
-        dst = np.asarray(csr.indices)
-        # a vertexless WeightedGraph snapshots with weights=None (there is
-        # no row to sniff weightedness from) — the columns are empty anyway
-        weights = (np.asarray(csr.weights) if csr.weights is not None
-                   else np.zeros(len(dst), dtype=np.float64))
+        indptr = csr.indptr
+        dst = csr.indices
+        weights = csr.weights
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
@@ -726,38 +710,6 @@ def _prepare_msf_columnar(graph, runtime: AMPCRuntime) -> PreparedMSF:
     runtime.next_round()
     return PreparedMSF(records=records.items(), store=store,
                        machines=(num_machines, record_machines))
-
-
-def prepare_msf(graph: WeightedGraph, *,
-                runtime: Optional[AMPCRuntime] = None,
-                config: Optional[ClusterConfig] = None,
-                seed: int = 0) -> PreparedMSF:
-    """The MSF preprocessing: sort adjacency by weight, write to the DHT.
-
-    ``seed`` is accepted for interface uniformity but unused — the sorted
-    adjacency does not depend on it.
-    """
-    del seed
-    if runtime is None:
-        runtime = AMPCRuntime(config=config)
-    if HAVE_NUMPY and hasattr(graph, "csr"):
-        return _prepare_msf_columnar(graph, runtime)
-    metrics = runtime.metrics
-
-    # Shuffle 1: weight-sorted adjacency onto its home machines.
-    with metrics.phase("SortGraph"):
-        nodes = runtime.pipeline.from_items(
-            [(v, _sorted_incident(graph, v)) for v in graph.vertices()]
-        )
-        placed = nodes.repartition(lambda record: record[0],
-                                   name="place-sorted-graph")
-    with metrics.phase("KV-Write"):
-        store = runtime.new_store("msf-adjacency")
-        runtime.write_store(placed, store,
-                            key_fn=lambda record: record[0],
-                            value_fn=lambda record: record[1])
-    runtime.next_round()
-    return PreparedMSF(records=placed.collect(), store=store)
 
 
 def update_msf(prepared: PreparedMSF, graph: WeightedGraph, *,
@@ -811,68 +763,32 @@ def ampc_msf(graph: WeightedGraph, *,
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
     n = graph.num_vertices
-    ranks = _vertex_rank_column(n, seed)
+    ranks = vertex_ranks_u64(n, seed)
     budget = (search_budget if search_budget is not None
               else _default_budget(n, epsilon))
-    #: flat-array stages from here on (their boxed twins charge the same)
-    columnar = HAVE_NUMPY and hasattr(graph, "csr")
 
     if prepared is None:
         prepared = prepare_msf(graph, runtime=runtime)
     store = prepared.store
     rounds_before = metrics.rounds
-    if (prepared.machines is not None and prepared.machines[0]
-            == runtime.cluster.config.num_machines):
-        placed = partition_boxed(runtime.pipeline, prepared.records,
-                                 prepared.machines[1])
-    else:
-        placed = runtime.pipeline.from_items(
-            prepared.records, key_fn=lambda record: record[0]
-        )
+    placed = place_prepared(runtime.pipeline, prepared)
 
     with metrics.phase("PrimSearch"):
         search_output = placed.par_do(
             _PrimSearch(store, ranks, budget, seed), name="prim-search"
         )
-    if columnar:
-        blocks = [_SearchColumns.of(outputs)
-                  for outputs in search_output.partitions()]
-        found = np.concatenate([block.msf for block in blocks])
-        # one int per canonical edge: sorts like the (lo, hi) pair
-        prim_codes = _sorted_distinct(found[:, 0] * n + found[:, 1])
-        num_prim_edges = len(prim_codes)
-        visits = np.concatenate([block.visit for block in blocks])
-    else:
-        prim_edges: Set[EdgeId] = set()
-        visits: List[Tuple[int, int]] = []
-        for tag, a, b in search_output.collect():
-            if tag == "msf":
-                prim_edges.add((a, b))
-            elif tag == "visit":
-                visits.append((a, b))
-        num_prim_edges = len(prim_edges)
+    blocks = [_SearchColumns.of(outputs)
+              for outputs in search_output.partitions()]
+    found = np.concatenate([block.msf for block in blocks])
+    # one int per canonical edge: sorts like the (lo, hi) pair
+    prim_codes = _sorted_distinct(found[:, 0] * n + found[:, 1])
+    visits = np.concatenate([block.visit for block in blocks])
 
-    # Shuffle 2: combine on visited vertices -> best (min-rank) visitor.
+    # Shuffles 2 + 3: combine on visited vertices -> best (min-rank)
+    # visitor, place the pointer map and write it to the DHT.
     with metrics.phase("PointerJump"):
-        parents = None
-        if columnar:
-            pointer_store, parents = _combine_pointers_columnar(
-                runtime, visits[:, 0], visits[:, 1], ranks)
-        else:
-            visit_pcoll = runtime.pipeline.from_items(visits)
-            grouped = visit_pcoll.group_by_key(name="combine-visitors")
-            pointers = grouped.map_elements(
-                lambda record: (record[0],
-                                min(record[1], key=lambda v: (ranks[v], v))),
-                name="select-best-visitor",
-            )
-            # Shuffle 3: place the pointer map, then write it to the DHT.
-            pointers = pointers.repartition(lambda pair: pair[0],
-                                            name="place-pointers")
-            pointer_store = runtime.new_store("msf-pointers")
-            runtime.write_store(pointers, pointer_store,
-                                key_fn=lambda pair: pair[0],
-                                value_fn=lambda pair: pair[1])
+        pointer_store, parents = _combine_pointers(
+            runtime, visits[:, 0], visits[:, 1], ranks)
         runtime.next_round()
         jumper = _PointerJump(pointer_store, parents)
         vertices = runtime.pipeline.from_items(list(graph.vertices()))
@@ -885,37 +801,23 @@ def ampc_msf(graph: WeightedGraph, *,
     # discovered edges that cross classes must stay visible to the
     # contracted solve (dropping them can force a heavier replacement).
     with metrics.phase("Contract"):
-        if columnar:
-            root_pairs = np.concatenate(
-                [RowBlock.of(outputs, 2).rows
-                 for outputs in roots.partitions()])
-            root_of = np.empty(n, dtype=np.int64)
-            root_of[root_pairs[:, 0]] = root_pairs[:, 1]
-            contracted_vertices = int(
-                np.count_nonzero(root_of == np.arange(n, dtype=np.int64)))
-            columns = _contract_edges_columnar(runtime, graph, root_of)
-            count = len(columns[0])
-            runtime.pipeline.run_on_driver(
-                count * max(1, count.bit_length()))
-            # charged above either way; on a sealed plain store the solve
-            # itself — a function of the adjacency, the ranks and the
-            # budget — is done once
-            lo, hi = StageReplay(
-                store, ("contracted-forest", seed, budget)
-            ).driver_result(lambda: _kruskal_arrays(*columns))
-            codes = _sorted_distinct(
-                np.concatenate((prim_codes, lo * n + hi)))
-            forest = list(zip((codes // n).tolist(), (codes % n).tolist()))
-        else:
-            edge_records = [
-                (w, u, v, u, v) for u, v, w in graph.edges()
-            ]
-            contracted = _contract_edges(runtime, edge_records, roots)
-            operations = (len(contracted)
-                          * max(1, len(contracted).bit_length()))
-            runtime.pipeline.run_on_driver(operations)
-            forest = sorted(prim_edges | set(_kruskal_records(contracted)))
-            contracted_vertices = len({root for _, root in roots.collect()})
+        root_pairs = np.concatenate(
+            [RowBlock.of(outputs, 2).rows for outputs in roots.partitions()])
+        root_of = np.empty(n, dtype=np.int64)
+        root_of[root_pairs[:, 0]] = root_pairs[:, 1]
+        contracted_vertices = int(
+            np.count_nonzero(root_of == np.arange(n, dtype=np.int64)))
+        columns = _contract_edges_columnar(runtime, graph, root_of)
+        count = len(columns[0])
+        runtime.pipeline.run_on_driver(count * max(1, count.bit_length()))
+        # charged above either way; on a sealed plain store the solve
+        # itself — a function of the adjacency, the ranks and the
+        # budget — is done once
+        lo, hi = StageReplay(
+            store, ("contracted-forest", seed, budget)
+        ).driver_result(lambda: _kruskal_arrays(*columns))
+        codes = _sorted_distinct(np.concatenate((prim_codes, lo * n + hi)))
+        forest = list(zip((codes // n).tolist(), (codes % n).tolist()))
     runtime.next_round()
 
     return MSFResult(
@@ -924,7 +826,7 @@ def ampc_msf(graph: WeightedGraph, *,
         # round 1 is the preparation (possibly cache-served)
         rounds=metrics.rounds - rounds_before + 1,
         contracted_vertices=contracted_vertices,
-        prim_edges=num_prim_edges,
+        prim_edges=len(prim_codes),
         max_pointer_depth=jumper.max_depth,
     )
 
@@ -952,7 +854,7 @@ def truncated_prim_round(graph: WeightedGraph, *,
     """
     metrics = runtime.metrics
     n = graph.num_vertices
-    ranks = _vertex_rank_column(n, seed)
+    ranks = vertex_ranks_u64(n, seed)
 
     if prepared_store is not None:
         # Re-placing cached records is free: the data already lives in D0.

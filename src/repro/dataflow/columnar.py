@@ -24,9 +24,10 @@ import weakref
 from dataclasses import fields
 from typing import Any, Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.ampc.cluster import Cluster, MachineWork
 from repro.ampc.dht import DHTStore
-from repro.ampc.vector import np
 from repro.dataflow.pcollection import BudgetExceededError, PCollection
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "machine_byte_totals",
     "write_columnar_store",
     "partition_boxed",
+    "place_prepared",
     "RowBlock",
     "StageReplay",
 ]
@@ -120,6 +122,22 @@ def partition_boxed(pipeline, items: Sequence, machine_ids) -> PCollection:
     for item, machine in zip(items, machine_ids.tolist()):
         partitions[machine].append(item)
     return PCollection(pipeline, partitions)
+
+
+def place_prepared(pipeline, prepared) -> PCollection:
+    """A prepared artifact's records on their home machines (free: the
+    data already lives in D0).
+
+    ``prepared.machines`` — the prepare stage's own placement — serves
+    runs on that cluster shape; another shape, or an artifact patched by
+    an ``update_*`` hook (which carries none), re-hashes the keys.
+    """
+    machines = prepared.machines
+    if (machines is not None
+            and machines[0] == pipeline.cluster.config.num_machines):
+        return partition_boxed(pipeline, prepared.records, machines[1])
+    return pipeline.from_items(prepared.records,
+                               key_fn=lambda record: record[0])
 
 
 class RowBlock:

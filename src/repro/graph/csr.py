@@ -8,10 +8,8 @@ are what the vectorized prepare stages and the batch DHT record layout
 consume: one lexsort over a column replaces tens of thousands of
 per-vertex Python sorts.
 
-Backends: numpy ``int64``/``float64`` arrays when numpy is importable (and
-``REPRO_PURE_PYTHON`` is unset), else stdlib ``array('q')``/``array('d')``
-— same values, same ``tobytes()`` signature, so fingerprints agree across
-modes on one platform.
+The columns are numpy ``int64``/``float64`` arrays; ``tobytes()`` of each
+is the content-stable fingerprint payload.
 
 :class:`CSRGraph` is a read-only graph over a CSR snapshot, quacking like
 :class:`~repro.graph.graph.Graph` for every read path the algorithms use.
@@ -22,28 +20,39 @@ of ~250), fingerprinted from the raw buffers, never journaled.
 
 from __future__ import annotations
 
-from array import array
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.ampc.vector import HAVE_NUMPY, np
+import numpy as np
 
 __all__ = ["CSRAdjacency", "CSRGraph"]
 
 
-def _int_column(values) -> "array":
-    if HAVE_NUMPY:
-        return np.asarray(values, dtype=np.int64)
-    if isinstance(values, array) and values.typecode == "q":
-        return values
-    return array("q", values)
+def _edge_column(name: str, values, dtype, length: int):
+    """An outside edge column as a flat ``dtype`` array of ``length``."""
+    column = np.asarray(values, dtype=dtype)
+    if len(column) != length:
+        raise ValueError(f"{name} has {len(column)} entries, us has "
+                         f"{length}: edge columns must be parallel")
+    return column
 
 
-def _float_column(values) -> "array":
-    if HAVE_NUMPY:
-        return np.asarray(values, dtype=np.float64)
-    if isinstance(values, array) and values.typecode == "d":
-        return values
-    return array("d", values)
+def _check_endpoints(name: str, column, num_vertices: int) -> None:
+    bad = np.flatnonzero((column < 0) | (column >= num_vertices))
+    if len(bad):
+        raise ValueError(
+            f"{name}[{int(bad[0])}] = {int(column[bad[0]])} is not a vertex "
+            f"id in [0, {num_vertices})")
+
+
+def _sorted_rows(adj: Sequence):
+    """Each row's neighbor ids sorted, as lists and as CSR columns."""
+    rows = [sorted(row) for row in adj]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return rows, indptr, indices
 
 
 class CSRAdjacency:
@@ -52,9 +61,10 @@ class CSRAdjacency:
     __slots__ = ("num_vertices", "indptr", "indices", "weights")
 
     def __init__(self, indptr, indices, weights=None):
-        self.indptr = _int_column(indptr)
-        self.indices = _int_column(indices)
-        self.weights = None if weights is None else _float_column(weights)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.weights = (None if weights is None
+                        else np.asarray(weights, dtype=np.float64))
         self.num_vertices = len(self.indptr) - 1
         if self.weights is not None and \
                 len(self.weights) != len(self.indices):
@@ -63,29 +73,24 @@ class CSRAdjacency:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_adjacency(cls, adj: Sequence) -> "CSRAdjacency":
-        """Snapshot a ``Graph._adj`` (sets) or ``WeightedGraph._adj`` (dicts).
+    def from_adjacency(cls, adj: Sequence[set]) -> "CSRAdjacency":
+        """Snapshot a ``Graph._adj`` (one neighbor set per vertex).
 
         Rows come out sorted by neighbor id, matching ``neighbors()``.
         """
-        weighted = bool(adj) and isinstance(adj[0], dict)
-        indptr = array("q", [0])
-        indices = array("q")
-        weights = array("d") if weighted else None
-        total = 0
-        if weighted:
-            for row in adj:
-                items = sorted(row.items())
-                total += len(items)
-                indptr.append(total)
-                for neighbor, weight in items:
-                    indices.append(neighbor)
-                    weights.append(weight)
-        else:
-            for row in adj:
-                total += len(row)
-                indptr.append(total)
-                indices.extend(sorted(row))
+        _, indptr, indices = _sorted_rows(adj)
+        return cls(indptr, indices)
+
+    @classmethod
+    def from_weighted_adjacency(cls, adj: Sequence[dict]) -> "CSRAdjacency":
+        """Snapshot a ``WeightedGraph._adj`` (one ``{neighbor: weight}``
+        dict per vertex); ``weights`` is a float64 column even when there
+        is no row to read a weight from."""
+        rows, indptr, indices = _sorted_rows(adj)
+        weights = np.fromiter(
+            chain.from_iterable(map(row.__getitem__, neighbors)
+                                for row, neighbors in zip(adj, rows)),
+            dtype=np.float64, count=len(indices))
         return cls(indptr, indices, weights)
 
     @classmethod
@@ -97,52 +102,23 @@ class CSRAdjacency:
         entry per undirected edge, endpoints already deduplicated and
         self-loop free.  This is the bulk constructor the million-vertex
         generator uses: O(m) array work, no per-vertex containers.
+        Columns of unequal length and endpoints outside ``[0,
+        num_vertices)`` raise :class:`ValueError`.
         """
-        if HAVE_NUMPY:
-            us = np.asarray(us, dtype=np.int64)
-            vs = np.asarray(vs, dtype=np.int64)
-            src = np.concatenate([us, vs])
-            dst = np.concatenate([vs, us])
-            order = np.lexsort((dst, src))
-            indices = dst[order]
-            counts = np.bincount(src, minlength=num_vertices)
-            indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            weights = None
-            if ws is not None:
-                ws = np.asarray(ws, dtype=np.float64)
-                weights = np.concatenate([ws, ws])[order]
-            return cls(indptr, indices, weights)
-        rows: List[list] = [[] for _ in range(num_vertices)]
-        if ws is None:
-            for u, v in zip(us, vs):
-                rows[u].append(v)
-                rows[v].append(u)
-            for row in rows:
-                row.sort()
-            indptr = array("q", [0])
-            indices = array("q")
-            total = 0
-            for row in rows:
-                total += len(row)
-                indptr.append(total)
-                indices.extend(row)
-            return cls(indptr, indices, None)
-        for u, v, w in zip(us, vs, ws):
-            rows[u].append((v, w))
-            rows[v].append((u, w))
-        indptr = array("q", [0])
-        indices = array("q")
-        weights = array("d")
-        total = 0
-        for row in rows:
-            row.sort()
-            total += len(row)
-            indptr.append(total)
-            for neighbor, weight in row:
-                indices.append(neighbor)
-                weights.append(weight)
-        return cls(indptr, indices, weights)
+        us = np.asarray(us, dtype=np.int64)
+        vs = _edge_column("vs", vs, np.int64, len(us))
+        _check_endpoints("us", us, num_vertices)
+        _check_endpoints("vs", vs, num_vertices)
+        src = np.concatenate([us, vs])
+        dst = np.concatenate([vs, us])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+        weights = None
+        if ws is not None:
+            ws = _edge_column("ws", ws, np.float64, len(us))
+            weights = np.concatenate([ws, ws])[order]
+        return cls(indptr, dst[order], weights)
 
     # -- reads -------------------------------------------------------------
 
@@ -160,29 +136,20 @@ class CSRAdjacency:
     def max_degree(self) -> int:
         if self.num_vertices == 0:
             return 0
-        if HAVE_NUMPY:
-            return int(np.diff(self.indptr).max())
-        return max(self.indptr[v + 1] - self.indptr[v]
-                   for v in range(self.num_vertices))
+        return int(np.diff(self.indptr).max())
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Sorted neighbor tuple of ``v`` (plain Python ints)."""
         start, stop = self.indptr[v], self.indptr[v + 1]
-        row = self.indices[start:stop]
-        if HAVE_NUMPY:
-            return tuple(row.tolist())
-        return tuple(row)
+        return tuple(self.indices[start:stop].tolist())
 
     def neighbor_weights(self, v: int) -> List[Tuple[int, float]]:
         """``(neighbor, weight)`` pairs of ``v`` sorted by neighbor id."""
         if self.weights is None:
             raise ValueError("unweighted CSR has no weights")
         start, stop = self.indptr[v], self.indptr[v + 1]
-        row = self.indices[start:stop]
-        wrow = self.weights[start:stop]
-        if HAVE_NUMPY:
-            return list(zip(row.tolist(), wrow.tolist()))
-        return list(zip(row, wrow))
+        return list(zip(self.indices[start:stop].tolist(),
+                        self.weights[start:stop].tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         start, stop = self.indptr[u], self.indptr[u + 1]
@@ -202,14 +169,10 @@ class CSRAdjacency:
 
     def signature_bytes(self) -> bytes:
         """Raw column bytes, the content-stable fingerprint payload."""
-        parts = [_as_bytes(self.indptr), _as_bytes(self.indices)]
+        parts = [self.indptr.tobytes(), self.indices.tobytes()]
         if self.weights is not None:
-            parts.append(_as_bytes(self.weights))
+            parts.append(self.weights.tobytes())
         return b"".join(parts)
-
-
-def _as_bytes(column) -> bytes:
-    return column.tobytes()
 
 
 class CSRGraph:

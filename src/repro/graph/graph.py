@@ -413,7 +413,7 @@ class WeightedGraph(_JournalMixin):
         cache = getattr(self, "_csr_cache", None)
         if cache is not None and cache[0] == self.content_version:
             return cache[1]
-        snapshot = CSRAdjacency.from_adjacency(self._adj)
+        snapshot = CSRAdjacency.from_weighted_adjacency(self._adj)
         self._csr_cache = (self.content_version, snapshot)
         return snapshot
 

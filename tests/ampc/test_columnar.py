@@ -4,25 +4,19 @@
 ``partition_boxed``/``charge_map_stage`` are batch twins of the boxed
 per-element reference paths; every observable — store content, recorded
 sizes, per-shard insertion order, simulated charges, placement — must be
-identical between the two.  numpy-only (the pure-python mode never
-constructs columnar batches).
+identical between the two.
 """
 
+import numpy as np
 import pytest
 
 from repro.ampc import Cluster, ClusterConfig
+from repro.ampc.columnar import ColumnarRecords
 from repro.ampc.dht import DHTStore, StoreSealedError
-from repro.ampc.vector import HAVE_NUMPY
+from repro.ampc.vector import placement_ids
+from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
+                                     roundrobin_counts)
 from repro.dataflow.pipeline import Pipeline
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="columnar layout needs numpy")
-
-if HAVE_NUMPY:
-    from repro.ampc.columnar import ColumnarRecords
-    from repro.ampc.vector import np, placement_ids
-    from repro.dataflow.columnar import (charge_map_stage, partition_boxed,
-                                         roundrobin_counts)
 
 
 def _pair_records(num_records=12, rows_per=3):

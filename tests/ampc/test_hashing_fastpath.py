@@ -17,7 +17,6 @@ import pytest
 from repro.ampc.cost_model import (_sequence_bytes, estimate_bytes,
                                    estimate_bytes_reference)
 from repro.ampc.hashing import _MASK, stable_hash, stable_hash_reference
-from repro.ampc.vector import HAVE_NUMPY
 
 SEED = 20260729
 
@@ -167,7 +166,6 @@ class TestSequenceBytesUnrolledLevel:
                 estimate_bytes_reference(value), value
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar layout needs numpy")
 class TestColumnarSizesMatchReference:
     """The vectorized per-record size expression of ColumnarRecords must
     equal what ``estimate_bytes_reference`` walks out of the boxed

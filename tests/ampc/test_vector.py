@@ -9,19 +9,12 @@ not approximately — on every input either side can see.
 
 import random
 
-import pytest
+import numpy as np
 
 from repro.ampc.hashing import _MASK, _splitmix64, stable_hash
-from repro.ampc.vector import HAVE_NUMPY
+from repro.ampc.vector import (hash_ranks, placement_ids, splitmix64_u64,
+                               stable_hash_u64, vertex_ranks_u64)
 from repro.core.ranks import hash_rank, vertex_ranks
-
-if HAVE_NUMPY:
-    from repro.ampc.vector import (hash_ranks, np, placement_ids,
-                                   splitmix64_u64, stable_hash_u64,
-                                   vertex_ranks_u64)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized kernels need numpy")
 
 SEED = 20260730
 

@@ -164,7 +164,7 @@ def test_core_algorithms_exercise_batched_kv_ops(name, monkeypatch):
     """The flagship algorithms must run on the batched KV API end to end
     (lookup_many and/or a whole-batch write), not just compile against
     it.  The prepare stage's KV write counts whether it flows through
-    ``write_many`` (pure-python mode) or the columnar batch write."""
+    ``MachineContext.write_many`` or the columnar batch write."""
     calls = {"lookup_many": 0, "write_many": 0}
     original_lookup_many = MachineContext.lookup_many
     original_write_many = MachineContext.write_many

@@ -1,11 +1,12 @@
 """The batched query phases against their scalar oracles.
 
 ``_IsInMIS``, ``_PrimSearch`` and ``_PointerJump`` serve a machine's
-whole partition through ``DoFn.process_batch`` as frontier sweeps; their
-per-element ``process`` methods are the reference.  Switching the batch
-hook off (``process_batch = None`` sends ``par_do`` down the per-element
-loop) turns any run into its oracle, and the two must agree on
-everything the simulator reports: outputs, every stage's per-machine
+whole partition through ``DoFn.process_batch`` as frontier sweeps, and
+``_IsInMM`` serves it as its per-element loop under a stage replay;
+their per-element ``process`` methods are the reference.  Switching the
+batch hook off (``process_batch = None`` sends ``par_do`` down the
+per-element loop) turns any run into its oracle, and the two must agree
+on everything the simulator reports: outputs, every stage's per-machine
 ``MachineWork`` (all six fields), the store's ``shard_reads``, every
 metric and the summary — on a plain store, through an 8-deep ``derive()``
 chain and on a backed store, under a fault plan and under a per-machine
@@ -24,22 +25,19 @@ from hypothesis import given, settings, strategies as st
 from repro.ampc.cluster import ClusterConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.runtime import AMPCRuntime, BudgetExceededError
-from repro.ampc.vector import HAVE_NUMPY
 from repro.api import registry
+from repro.core import matching as matching_module
 from repro.core import mis as mis_module
 from repro.core import msf as msf_module
 from repro.dataflow.dofn import MachineContext
 from repro.distdht.backing import InMemoryBackingStore
 from repro.graph.graph import Graph, WeightedGraph
 from repro.sequential.mst import kruskal_msf
-from repro.sequential.validate import is_maximal_independent_set
+from repro.sequential.validate import (is_maximal_independent_set,
+                                       is_maximal_matching)
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the sweeps need numpy (the scalar path is all "
-                           "there is without it)")
-
-BATCHED = (mis_module._IsInMIS, msf_module._PrimSearch,
-           msf_module._PointerJump)
+BATCHED = (mis_module._IsInMIS, matching_module._IsInMM,
+           msf_module._PrimSearch, msf_module._PointerJump)
 DERIVE_DEPTH = 8
 
 
@@ -112,14 +110,15 @@ def trace(algorithm, graph, *, config, seed=0, layout="plain",
     else:
         summary = spec.summarize(result, graph)
         output = (sorted(result.independent_set) if algorithm == "mis"
+                  else sorted(result.matching) if algorithm == "matching"
                   else result.forest)
     return Trace(output, summary, error, stages,
                  list(prepared.store.shard_reads),
                  runtime.metrics.summary()), prepared
 
 
-def assert_batched_equals_scalar(algorithm, graph, **options):
-    batched, _ = trace(algorithm, graph, **options)
+def assert_batched_equals_scalar(algorithm, graph, rerun=False, **options):
+    batched, prepared = trace(algorithm, graph, **options)
     with scalar_oracle():
         scalar, _ = trace(algorithm, graph, **options)
     assert batched.error == scalar.error
@@ -128,6 +127,13 @@ def assert_batched_equals_scalar(algorithm, graph, **options):
     assert batched.stages == scalar.stages
     assert batched.shard_reads == scalar.shard_reads
     assert batched.metrics == scalar.metrics
+    if rerun:
+        # the same artifact again (a replay, where the store records one)
+        again, _ = trace(algorithm, graph, prepared=prepared, **options)
+        assert again.shard_reads == [2 * reads
+                                     for reads in batched.shard_reads]
+        assert dataclasses.replace(
+            again, shard_reads=batched.shard_reads) == batched
     return batched
 
 
@@ -200,6 +206,18 @@ def test_msf_sweeps_match_the_scalar_searches(shape, config, layout, seed,
         seed=seed, faulty=faulty, search_budget=search_budget)
 
 
+@settings(max_examples=40, deadline=None)
+@given(edge_lists(), configs, layouts, st.integers(0, 3), st.booleans(),
+       st.sampled_from([None, None, 1, 6]))
+def test_matching_batch_hook_matches_the_per_element_loop(
+        shape, config, layout, seed, faulty, search_budget):
+    """``_IsInMM`` under its stage replay against the bare loop: the
+    recording run and the run after it (a replay on a plain store)."""
+    assert_batched_equals_scalar(
+        "matching", plain_graph(*shape), rerun=True, config=config,
+        layout=layout, seed=seed, faulty=faulty, search_budget=search_budget)
+
+
 @pytest.mark.parametrize("layout", ["plain", "derived", "mem"])
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_graphs(name, layout):
@@ -209,6 +227,9 @@ def test_degenerate_graphs(name, layout):
     result = assert_batched_equals_scalar("mis", graph, config=config,
                                           layout=layout, seed=2)
     assert is_maximal_independent_set(graph, result.output)
+    result = assert_batched_equals_scalar("matching", graph, config=config,
+                                          layout=layout, seed=2)
+    assert is_maximal_matching(graph, result.output)
     # one weight everywhere: the endpoints alone order the heap
     tied = weighted_graph(n, edges, weights=(5.0,))
     result = assert_batched_equals_scalar("msf", tied, config=config,
@@ -219,9 +240,12 @@ def test_degenerate_graphs(name, layout):
 def test_a_fault_plan_preempts_the_same_cells():
     graph = weighted_graph(24, [(v, (v * 5 + 1) % 24) for v in range(24)]
                            + [(v, (v + 1) % 24) for v in range(24)])
-    config = ClusterConfig(num_machines=4)
-    for algorithm, subject in (("mis", plain_graph(24, list(
-            (u, v) for u, v, _ in graph.edges()))), ("msf", graph)):
+    # eight cells a stage: the plan's first draws spare matching's single
+    # query stage on fewer
+    config = ClusterConfig(num_machines=8)
+    plain = plain_graph(24, [(u, v) for u, v, _ in graph.edges()])
+    for algorithm, subject in (("mis", plain), ("matching", plain),
+                               ("msf", graph)):
         result = assert_batched_equals_scalar(algorithm, subject,
                                               config=config, faulty=True)
         assert result.metrics["preemptions"] > 0
@@ -233,8 +257,9 @@ def test_the_query_budget_trips_on_the_same_machine():
         (v, (v * 7 + 3) % n) for v in range(0, n, 2)]
     config = ClusterConfig(num_machines=3, query_budget_per_machine=4)
     for algorithm, graph in (("mis", plain_graph(n, edges)),
+                             ("matching", plain_graph(n, edges)),
                              ("msf", weighted_graph(n, edges))):
-        result = assert_batched_equals_scalar(algorithm, graph,
+        result = assert_batched_equals_scalar(algorithm, graph, rerun=True,
                                               config=config)
         assert "KV queries in stage" in result.error
 
@@ -242,47 +267,101 @@ def test_the_query_budget_trips_on_the_same_machine():
 # -- replay ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("algorithm", ["mis", "msf"])
+REPLAY_EDGES = [(v, (v + 1) % 60) for v in range(60)] + [
+    (v, (v * 11 + 5) % 60) for v in range(0, 60, 3)]
+
+
+def replay_graph(algorithm):
+    return (weighted_graph(60, REPLAY_EDGES) if algorithm == "msf"
+            else plain_graph(60, REPLAY_EDGES))
+
+
+@contextlib.contextmanager
+def counted_walks(store):
+    """What a run really walks: the keys of every batched read of
+    ``store``, and the root of every per-element MIS or matching search
+    that actually runs (matching's edge memo can serve one without a
+    read)."""
+    reads, searches = [], []
+    lookup_many = MachineContext.lookup_many
+    walkers = [(mis_module._IsInMIS, "_resolve"),
+               (matching_module._IsInMM, "_vertex_search")]
+    saved = [getattr(cls, name) for cls, name in walkers]
+
+    def counting_reads(self, target, keys):
+        if target is store:
+            reads.append(list(keys))
+        return lookup_many(self, target, keys)
+
+    def counting(search):
+        def counted(self, root, *args):
+            searches.append(root)
+            return search(self, root, *args)
+        return counted
+
+    MachineContext.lookup_many = counting_reads
+    for (cls, name), search in zip(walkers, saved):
+        setattr(cls, name, counting(search))
+    try:
+        yield reads, searches
+    finally:
+        MachineContext.lookup_many = lookup_many
+        for (cls, name), search in zip(walkers, saved):
+            setattr(cls, name, search)
+
+
+@pytest.mark.parametrize("algorithm", ["mis", "matching", "msf"])
 def test_replay_charges_what_the_first_run_charged(algorithm):
     """A second run against the same sealed plain store replays the
     recorded stage instead of walking it: nothing observable differs."""
-    n = 60
-    edges = [(v, (v + 1) % n) for v in range(n)] + [
-        (v, (v * 11 + 5) % n) for v in range(0, n, 3)]
-    graph = (plain_graph(n, edges) if algorithm == "mis"
-             else weighted_graph(n, edges))
+    graph = replay_graph(algorithm)
     config = ClusterConfig(num_machines=4)
     first, prepared = trace(algorithm, graph, config=config, seed=1)
     reads_once = list(first.shard_reads)
-    calls = []
-    lookup_many = MachineContext.lookup_many
-
-    def counting(self, store, keys):
-        if store is prepared.store:
-            calls.append(len(keys))
-        return lookup_many(self, store, keys)
-
-    MachineContext.lookup_many = counting
-    try:
+    with counted_walks(prepared.store) as (reads, searches):
         second, _ = trace(algorithm, graph, config=config, seed=1,
                           prepared=prepared)
-    finally:
-        MachineContext.lookup_many = lookup_many
-    assert calls == []  # replayed, not re-read
+    assert reads == [] and searches == []  # replayed, not re-walked
     assert second.output == first.output
     assert second.summary == first.summary
     assert second.stages == first.stages
     assert second.shard_reads == [2 * reads for reads in reads_once]
-    # another cluster shape is another record, not a stale replay
-    other = ClusterConfig(num_machines=3)
-    third, _ = trace(algorithm, graph, config=other, seed=1,
-                     prepared=prepared)
+    # another cluster shape or cache switch is another record, not a
+    # stale replay
     with scalar_oracle():
         _, fresh = trace(algorithm, graph, config=config, seed=1)
-        reference, _ = trace(algorithm, graph, config=other, seed=1,
-                             prepared=fresh)
-    assert third.output == reference.output
-    assert third.stages == reference.stages
+    for other in (ClusterConfig(num_machines=3),
+                  ClusterConfig(num_machines=4, caching=False)):
+        third, _ = trace(algorithm, graph, config=other, seed=1,
+                         prepared=prepared)
+        with scalar_oracle():
+            reference, _ = trace(algorithm, graph, config=other, seed=1,
+                                 prepared=fresh)
+        assert third.output == reference.output
+        assert third.stages == reference.stages
+
+
+@pytest.mark.parametrize("algorithm", ["mis", "matching"])
+def test_a_truncated_schedule_replays_its_first_round_only(algorithm):
+    """With ``search_budget`` the first round still runs the store's own
+    records and replays; the retry rounds depend on the states committed
+    so far and are walked every time."""
+    graph = replay_graph(algorithm)
+    options = dict(config=ClusterConfig(num_machines=4), seed=1,
+                   search_budget=1)
+    first, prepared = trace(algorithm, graph, **options)
+    with counted_walks(prepared.store) as (_, replayed):
+        second, _ = trace(algorithm, graph, prepared=prepared, **options)
+    with scalar_oracle(), counted_walks(prepared.store) as (_, walked):
+        reference, _ = trace(algorithm, graph, prepared=prepared, **options)
+    assert dataclasses.replace(first, shard_reads=None) == \
+        dataclasses.replace(second, shard_reads=None) == \
+        dataclasses.replace(reference, shard_reads=None)
+    assert second.shard_reads == [2 * reads for reads in first.shard_reads]
+    assert reference.shard_reads == [3 * reads for reads in first.shard_reads]
+    # round one walks every vertex; the replaying run skipped exactly that
+    assert sorted(walked[:graph.num_vertices]) == list(graph.vertices())
+    assert replayed == walked[graph.num_vertices:] != []
 
 
 # -- what reaches a real backing store --------------------------------------
@@ -355,3 +434,31 @@ def test_a_backed_query_reads_in_batches_only(algorithm):
     assert 0 < batched.get_manys <= len(sweeps)
     assert scalar.get_manys == 0 and scalar.gets > 0
     assert batched.fetched == scalar.fetched
+
+
+@pytest.mark.parametrize("algorithm", ["mis", "matching", "msf"])
+def test_derived_and_backed_stores_are_really_read_every_run(algorithm):
+    """Only a sealed plain sim store replays: a second query against a
+    backed or ``derive()``d store issues the reads of the first."""
+    graph = replay_graph(algorithm)
+    config = ClusterConfig(num_machines=3)
+    spec = registry.get(algorithm)
+    backing = CountingBacking()
+    prepared = spec.prepare(
+        graph, runtime=AMPCRuntime(config=config, backing=backing), seed=3)
+    fetched = []
+    for _ in range(2):
+        backing.reset()
+        spec.run(graph, runtime=AMPCRuntime(config=config, backing=backing),
+                 seed=3, prepared=prepared)
+        fetched.append(backing.fetched)
+    assert fetched[0] == fetched[1] != Counter()
+    _, prepared = trace(algorithm, graph, config=config, seed=3,
+                        layout="derived")
+    walked = []
+    for _ in range(2):
+        with counted_walks(prepared.store) as (reads, _):
+            trace(algorithm, graph, config=config, seed=3, prepared=prepared)
+        walked.append(reads)
+    assert walked[0] == walked[1] != []
+
