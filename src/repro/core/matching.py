@@ -10,8 +10,9 @@ sequential greedy reference):
   per-vertex query process resolves edges adaptively.  The per-machine
   cache stores one entry per **vertex** — either its matched partner or
   the highest-rank incident edge already known unmatched — exactly the
-  cache the paper describes.  An optional per-search budget runs the
-  multi-round vertex-truncated theory schedule.
+  cache the paper describes, and what makes a machine's searches depend
+  on their order (:meth:`_IsInMM._sweep` walks them in it).  An optional
+  per-search budget runs the multi-round vertex-truncated theory schedule.
 
 * :func:`ampc_matching_phases` — Theorem 2 part 1 (Algorithm 4): peel
   O(log log Delta) levels; at each level run GreedyMM on the rank-sampled
@@ -23,14 +24,13 @@ sequential greedy reference):
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.ampc.cluster import ClusterConfig
-from repro.ampc.columnar import ColumnarRecords
+from repro.ampc.columnar import ColumnarRecords, unbox_rows
 from repro.ampc.dht import DHTStore
 from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
@@ -53,12 +53,15 @@ _SEARCHED = "searched"
 
 _PARKED = object()
 
-#: per-store memo of :meth:`_IsInMM._lower_incident` results.  The merge is
-#: pure *uncharged* compute over values read from one sealed store, so its
-#: result is reusable across machines and across runs against the same
-#: store object (the Session serves cached artifacts by identity) without
-#: moving any metric.  Weak keys: evicting an artifact frees its memo.
-_LOWER_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: the same cache as one float per vertex (the sweep's): a rank r in
+#: [0, 1) is ``(_SEARCHED, r)``, "every edge up to rank r is out"
+_UNSEEN = -1.0
+_SEARCHED_OUT = 1.0  # searched to the end: unmatched
+_MATCHED_STATE = 2.0
+
+#: keys per ``lookup_many`` of the sweep's reads — bounds what a backed
+#: store holds, raw and decoded, at once
+_READ_BATCH = 512
 
 
 @dataclass
@@ -77,18 +80,96 @@ def _edge_rank(seed: int, u: int, v: int) -> float:
     return hash_rank(seed, a, b)
 
 
-def _edge_order(seed: int, u: int, v: int) -> Tuple[float, int, int]:
-    """Strict total order on edges: rank, then canonical endpoints."""
-    a, b = edge_key(u, v)
-    return (hash_rank(seed, a, b), a, b)
-
-
 def _permuted_incident(vertex: int, neighbors: Sequence[int],
                        seed: int) -> Tuple[Tuple[float, int], ...]:
     """Incident edges of ``vertex`` as (rank, neighbor), rank-ascending."""
     incident = [(_edge_rank(seed, vertex, u), u) for u in neighbors]
     incident.sort(key=lambda pair: (pair[0],) + edge_key(vertex, pair[1]))
     return tuple(incident)
+
+
+class _SearchPlan(NamedTuple):
+    """Flat *slot* columns of the edge-permuted graph and its matching; a
+    slot is one entry of one vertex's rank-sorted incident list."""
+
+    first: np.ndarray  #: per vertex: its first slot
+    degree: np.ndarray  #: per vertex: how many slots
+    nbr: np.ndarray  #: per slot: the far endpoint
+    rank: np.ndarray  #: per slot: the edge's rank, as stored
+    twin: np.ndarray  #: per slot: the same edge's slot at the far endpoint
+    take: np.ndarray  #: per slot: entries of this list its edge process probes
+    is_matched: np.ndarray  #: per slot: the edge is in the matching
+    partner: np.ndarray  #: per vertex: its matched neighbor, or -1
+
+
+def _search_plan(records) -> _SearchPlan:
+    """What the vertex searches over ``records`` will find, as columns.
+
+    The lexicographically-first maximal matching comes from a
+    round-synchronous greedy over integer edge ids in the total order
+    (rank, endpoints) (Proposition 4.2: greedy MIS on the line graph) —
+    an edge that is the lowest live one at both endpoints joins, edges at
+    a matched vertex drop, O(log n) rounds for hashed ranks.  The edge
+    process of an edge probes the lower edges at both endpoints in order
+    up to and including the first matched one, ``stop``; ``take`` is
+    that prefix's length at the slot's owner.
+    """
+    keys = np.fromiter((record[0] for record in records),
+                       dtype=np.int64, count=len(records))
+    counts, (rank, nbr) = unbox_rows([record[1] for record in records],
+                                     (np.float64, np.int64))
+    num_vertices = int(keys.max()) + 1 if len(keys) else 0
+    num_slots = len(nbr)
+    first = np.zeros(num_vertices, dtype=np.int64)
+    first[keys] = np.cumsum(counts) - counts
+    degree = np.zeros(num_vertices, dtype=np.int64)
+    degree[keys] = counts
+    owner = np.repeat(keys, counts)
+    # a stable sort by canonical endpoints puts the two slots of an edge
+    # side by side
+    code = np.minimum(owner, nbr) * num_vertices + np.maximum(owner, nbr)
+    by_code = np.argsort(code, kind="stable")
+    left, right = by_code[0::2], by_code[1::2]
+    codes = code[left]
+    if (num_slots % 2 or (codes != code[right]).any()
+            or (codes[1:] == codes[:-1]).any()):
+        raise ValueError("records are not those of a simple symmetric graph")
+    twin = np.empty(num_slots, dtype=np.int64)
+    twin[left], twin[right] = right, left
+    # edge ids: ``left`` holds one slot per edge in endpoint order, so a
+    # stable sort by rank orders them by (rank, lo, hi)
+    num_edges = len(left)
+    by_rank = left[np.argsort(rank[left], kind="stable")]
+    edge = np.empty(num_slots, dtype=np.int64)
+    edge[by_rank] = edge[twin[by_rank]] = np.arange(num_edges)
+    ends_a, ends_b = owner[by_rank], nbr[by_rank]
+    in_matching = np.zeros(num_edges, dtype=bool)
+    matched = np.zeros(num_vertices, dtype=bool)
+    live = np.arange(num_edges)
+    while len(live):
+        live_a, live_b = ends_a[live], ends_b[live]
+        lowest = np.full(num_vertices, num_edges)
+        np.minimum.at(lowest, live_a, live)
+        np.minimum.at(lowest, live_b, live)
+        joined = (lowest[live_a] == live) & (lowest[live_b] == live)
+        in_matching[live[joined]] = True
+        matched[live_a[joined]] = matched[live_b[joined]] = True
+        live = live[~(matched[live_a] | matched[live_b])]
+    is_matched = in_matching[edge]
+    partner = np.full(num_vertices, -1, dtype=np.int64)
+    partner[owner[is_matched]] = nbr[is_matched]
+    matched_edge = np.full(num_vertices, num_edges)
+    matched_edge[owner[is_matched]] = edge[is_matched]
+    stop = np.minimum(matched_edge[owner], matched_edge[nbr])
+    stop[stop >= edge] = num_edges  # nothing matched below the edge
+    # lists are rank-sorted, so (record, edge id) ascends over all slots
+    base = np.repeat(np.arange(len(keys)) * (num_edges + 1), counts)
+    start = first[owner]
+    take = np.minimum(
+        np.arange(num_slots) - start,
+        np.searchsorted(base + edge, base + stop, side="right") - start)
+    return _SearchPlan(first, degree, nbr, rank, twin, take, is_matched,
+                       partner)
 
 
 class _IsInMM(DoFn):
@@ -99,23 +180,28 @@ class _IsInMM(DoFn):
     no lower-rank incident edge does).  Stops at the first matched edge.
 
     A machine's searches share the per-vertex cache, so what one is
-    charged depends on those before it: they run one at a time, in
-    partition order, and :meth:`process_batch` is that loop under a
-    :class:`~repro.dataflow.columnar.StageReplay`.
+    charged depends on those before it: they run in partition order, in
+    one of two charge-identical ways chosen from the run's own inputs.
+    :meth:`_vertex_search` makes one boxed probe at a time; it serves a
+    per-search ``budget``, a ``resolved_store`` from an earlier truncated
+    round and the cache switched off, and is the oracle of :meth:`_sweep`,
+    which walks flat columns derived once from ``records`` (all of
+    ``store``'s records) and issues the walk's reads afterwards, as
+    ``lookup_many`` batches.
     """
 
     def __init__(self, store: DHTStore, seed: int, *,
                  resolved_store: Optional[DHTStore] = None,
-                 budget: Optional[int] = None):
+                 budget: Optional[int] = None,
+                 records: Optional[Sequence] = None):
         self._store = store
-        self._seed = seed
         self._resolved_store = resolved_store
         self._budget = budget
         self._cache: Optional[Dict[int, tuple]] = None
-        try:
-            self._lower_memo = _LOWER_MEMO.setdefault(store, {})
-        except TypeError:  # a store that cannot be weakly referenced
-            self._lower_memo = {}
+        self._records = records
+        self._plan = None
+        self._sweeps = (records is not None and budget is None
+                        and resolved_store is None)
         # round 1 runs the store's own records in partition order, so the
         # cache evolves the same way every time; later truncated rounds
         # also depend on the states committed so far
@@ -137,9 +223,113 @@ class _IsInMM(DoFn):
             yield ("matched", vertex, outcome)
 
     def process_batch(self, partition, ctx):
-        return self._replay.run(ctx, lambda: [
-            output for element in partition
-            for output in self.process(element, ctx)])
+        return self._replay.run(
+            ctx, lambda: self._machine_outputs(partition, ctx))
+
+    def _machine_outputs(self, partition, ctx):
+        if self._sweeps and ctx.caching_enabled:
+            return self._sweep(partition, ctx)
+        return [output for element in partition
+                for output in self.process(element, ctx)]
+
+    # -- the query process, a machine's searches over slot columns ---------
+
+    def _sweep(self, partition, ctx):
+        """Charge twin of the :meth:`_vertex_search` loop over ``partition``.
+
+        The cache is one float per vertex (see ``_UNSEEN``): "an edge of
+        rank r is decided by x's state" is ``state[x] >= r``, a hit
+        whenever ``state[x] >= 0`` — :meth:`_edge_status_from_states` on
+        the floats the scalar code compares.  With the matching known, a
+        decided edge is always out (a matched edge marks both endpoints
+        at once, so one of them would have decided it in), a frame's
+        outcome is ``is_matched`` and how far it walks is ``take``.
+
+        A fetched edge, reached through endpoint p with far end q, was
+        decided by neither: ranks strictly decrease along a descent and
+        only roots carry a watermark, so q holds no state and p at most
+        the in-progress root's.  p's lower entries were all probed (out)
+        by the frame above before this edge, so each is answered again by
+        exactly one present state — ``take[slot at p]`` hits, no walk;
+        q's are walked, probing the far vertex alone.
+        """
+        if self._plan is None:
+            self._plan = _search_plan(self._records)
+        plan = self._plan
+        (first, degree, nbr, rank, twin, take, is_matched,
+         partner) = map(memoryview, plan)
+        state = memoryview(np.full(len(first), _UNSEEN))
+        fetched: List[int] = []
+
+        def resolve(slot):
+            """Fetch the edge at ``slot`` and run its frame to the end;
+            returns the cache hits that made."""
+            hits = 0
+            frames = []
+            while True:
+                fetched.append(slot)
+                hits += take[slot]
+                cursor = first[nbr[slot]]
+                end = cursor + take[twin[slot]]
+                while True:
+                    while cursor < end:
+                        known = state[nbr[cursor]]
+                        if known >= 0.0:
+                            hits += 1
+                        if known < rank[cursor]:
+                            break
+                        cursor += 1
+                    if cursor < end:
+                        # decided by neither endpoint: descend into it
+                        frames.append((slot, cursor + 1, end))
+                        slot = cursor
+                        break
+                    # frame exit: in iff every lower edge turned out out
+                    if is_matched[slot]:
+                        state[nbr[slot]] = _MATCHED_STATE
+                        state[nbr[twin[slot]]] = _MATCHED_STATE
+                    if not frames:
+                        return hits
+                    slot, cursor, end = frames.pop()
+
+        hits = 0
+        outputs: List[Tuple] = []
+        for vertex, _incident in partition:
+            known = state[vertex]
+            if known >= 0.0:
+                hits += 1
+                if known == _MATCHED_STATE:
+                    outputs.append(("matched", vertex,
+                                    edge_key(vertex, partner[vertex])))
+                if known >= _SEARCHED_OUT:
+                    continue
+            start = first[vertex]
+            for slot in range(start, start + degree[vertex]):
+                edge_rank = rank[slot]
+                for endpoint in (vertex, nbr[slot]):
+                    known = state[endpoint]
+                    if known >= 0.0:
+                        hits += 1
+                    if known >= edge_rank:
+                        break
+                else:
+                    hits += resolve(slot)
+                    if is_matched[slot]:
+                        outputs.append(("matched", vertex,
+                                        edge_key(vertex, nbr[slot])))
+                        break
+                if state[vertex] < edge_rank:
+                    state[vertex] = edge_rank
+            else:
+                state[vertex] = _SEARCHED_OUT
+        # the reads the walk would have made, two keys per fetched edge
+        slots = np.array(fetched, dtype=np.int64)
+        keys = np.stack((plan.nbr[plan.twin[slots]], plan.nbr[slots]),
+                        axis=1).ravel().tolist()
+        for start in range(0, len(keys), _READ_BATCH):
+            ctx.lookup_many(self._store, keys[start:start + _READ_BATCH])
+        ctx.work.cache_hits += hits
+        return outputs
 
     # -- vertex state ------------------------------------------------------
 
@@ -174,22 +364,6 @@ class _IsInMM(DoFn):
     def _edge_status_from_states(self, rank: float, a: int, b: int,
                                  ctx: MachineContext) -> Optional[bool]:
         """Resolve edge (a, b) from vertex states alone, if possible."""
-        cache = self._cache
-        if cache is not None and self._resolved_store is None:
-            # hot configuration (cache on, no resolved overlay): the state
-            # can only come from the cache, so consult it directly —
-            # charge-identical to the general loop below
-            work = ctx.work
-            for x, y in ((a, b), (b, a)):
-                state = cache.get(x)
-                if state is None:
-                    continue
-                work.cache_hits += 1
-                if state[0] == _MATCHED:
-                    return state[1] == y and state[2] == rank
-                if rank <= state[1]:  # state[0] is _SEARCHED
-                    return False
-            return None
         for x, y in ((a, b), (b, a)):
             state = self._vertex_state(x, ctx)
             if state is None:
@@ -202,107 +376,44 @@ class _IsInMM(DoFn):
 
     # -- the edge query process (iterative recursion) -----------------------
 
-    def _fetch_incident_pair(self, a: int, b: int, ctx: MachineContext,
-                             counter):
-        """Both endpoints' incident lists in one batched KV read.
+    def _lower_edges(self, rank: float, a: int, b: int, ctx: MachineContext,
+                     counter) -> List[Tuple[float, int, int]]:
+        """Incident edges of a and b with order below edge (a, b) of rank
+        ``rank``, merged ascending by the global edge order.
 
-        The edge process always needs both lists before it can merge the
-        lower-rank edges, so the two keys are known up front — the
-        batching seam of Section 5.3.  Charges (reads, bytes, budget
-        counter) are identical to two single ``ctx.lookup`` calls.
+        Both lists are needed before the merge, so the two keys go out as
+        one batched KV read (the batching seam of Section 5.3), charged —
+        reads, bytes, budget counter — as two ``ctx.lookup`` calls.
         """
         counter[0] += 2
         incident_a, incident_b = ctx.lookup_many(self._store, (a, b))
-        return incident_a or (), incident_b or ()
-
-    def _lower_incident(self, rank: float, a: int, b: int,
-                        incident_a, incident_b) -> List[Tuple[float, int, int]]:
-        """Incident edges of a and b with order below edge (a, b), merged
-        ascending by the global edge order.
-
-        Pure uncharged compute — memoized by :meth:`_lower_with_charge`,
-        which owns the paired KV fetch this merge consumes.
-        """
-        me = _edge_order(self._seed, a, b)
+        me = (rank,) + edge_key(a, b)
         merged = []
         for endpoint, incident in ((a, incident_a), (b, incident_b)):
-            for r, u in incident:
+            for r, u in incident or ():
                 # inline edge_key: this loop touches every incident edge
                 # below the query edge, twice per resolved edge
                 order = ((r, endpoint, u) if endpoint < u
                          else (r, u, endpoint))
-                if order < me:
-                    merged.append((order, endpoint, u))
-                else:
+                if order >= me:
                     # Incident lists are rank-sorted: everything after is
                     # above this edge.
                     break
+                merged.append((order, endpoint, u))
+        # a lower edge is incident to one endpoint only, so every order
+        # occurs once
         merged.sort()
-        previous = None
-        result = []
-        for order, x, y in merged:
-            if order != previous:
-                previous = order
-                result.append((order[0], x, y))
-        return result
-
-    def _lower_with_charge(self, rank: float, a: int, b: int,
-                           ctx: MachineContext, counter):
-        """Memoized :meth:`_lower_incident`, with the paired fetch charged.
-
-        First touch of an edge (per store) runs the real batched read and
-        merge, then records the merge result together with the fetch's
-        charge profile — read bytes and the two shard ids — which is a
-        pure function of the sealed store's recorded entry sizes.  Every
-        later touch replays *exactly* that charge (2 reads, same bytes,
-        same per-shard contention bumps) without re-fetching values it
-        would only re-merge.  The result is orientation-independent:
-        every entry's sort key ``(rank, canonical edge)`` is unique, so
-        the concatenation order of a's and b's contributions never shows.
-        """
-        memo_key = (a, b) if a < b else (b, a)
-        entry = self._lower_memo.get(memo_key)
-        if entry is not None:
-            lower, read_bytes, shard_a, shard_b = entry
-            if read_bytes is not None:
-                counter[0] += 2
-                work = ctx.work
-                work.kv_reads += 2
-                work.kv_read_bytes += read_bytes
-                shard_reads = self._store.shard_reads
-                shard_reads[shard_a] += 1
-                shard_reads[shard_b] += 1
-                return lower
-        incident_a, incident_b = self._fetch_incident_pair(a, b, ctx,
-                                                           counter)
-        lower = self._lower_incident(rank, a, b, incident_a, incident_b)
-        store = self._store
-        if type(store) is DHTStore:
-            # plain sim store: entry sizes and shard placement are frozen
-            # in-process state, so the charge profile can be replayed
-            # without going through the store (backed/derived stores keep
-            # the real read on every touch)
-            shard_a = store.shard_of(a)
-            shard_b = store.shard_of(b)
-            read_bytes = (16 + store._sizes[shard_a].get(a, 0)
-                          + store._sizes[shard_b].get(b, 0))
-            self._lower_memo[memo_key] = (lower, read_bytes,
-                                          shard_a, shard_b)
-        else:
-            self._lower_memo[memo_key] = (lower, None, None, None)
-        return lower
+        return [(order[0], x, y) for order, x, y in merged]
 
     def _resolve_edge(self, rank: float, a: int, b: int,
                       ctx: MachineContext, counter) -> object:
         """True if edge (a, b) is in the matching; _PARKED on budget."""
-        if self._cache is not None and self._resolved_store is None:
-            return self._resolve_edge_fast(rank, a, b, ctx, counter)
         known = self._edge_status_from_states(rank, a, b, ctx)
         if known is not None:
             return known
         # Frame: [rank, a, b, lower_edges, index]
         frames = [[rank, a, b,
-                   self._lower_with_charge(rank, a, b, ctx, counter), 0]]
+                   self._lower_edges(rank, a, b, ctx, counter), 0]]
         returning: Optional[bool] = None
         while frames:
             if self._budget is not None and counter[0] > self._budget:
@@ -332,9 +443,8 @@ class _IsInMM(DoFn):
                     continue
                 if self._budget is not None and counter[0] > self._budget:
                     return _PARKED
-                frames.append([crank, ca, cb,
-                               self._lower_with_charge(crank, ca, cb, ctx,
-                                                       counter), 0])
+                frames.append([crank, ca, cb, self._lower_edges(
+                    crank, ca, cb, ctx, counter), 0])
                 descended = True
                 break
             if descended:
@@ -345,126 +455,10 @@ class _IsInMM(DoFn):
             returning = True
         return returning
 
-    def _resolve_edge_fast(self, rank: float, a: int, b: int,
-                           ctx: MachineContext, counter) -> object:
-        """:meth:`_resolve_edge` for the hot configuration (per-machine
-        cache on, no resolved-store overlay).
-
-        Same descent, same charges, same cache transitions — but the
-        per-child state probe and the memoized fetch-charge replay are
-        inlined, because this loop is where the whole query phase spends
-        its time and the method-call overhead alone is measurable.
-        """
-        cache = self._cache
-        work = ctx.work
-        memo = self._lower_memo
-        store = self._store
-        shard_reads = store.shard_reads
-        budget = self._budget
-        # edge status of (a, b) from cached vertex states alone
-        state = cache.get(a)
-        if state is not None:
-            work.cache_hits += 1
-            if state[0] == _MATCHED:
-                return state[1] == b and state[2] == rank
-            if rank <= state[1]:  # state[0] is _SEARCHED
-                return False
-        state = cache.get(b)
-        if state is not None:
-            work.cache_hits += 1
-            if state[0] == _MATCHED:
-                return state[1] == a and state[2] == rank
-            if rank <= state[1]:
-                return False
-        memo_key = (a, b) if a < b else (b, a)
-        entry = memo.get(memo_key)
-        if entry is not None and entry[1] is not None:
-            lower, read_bytes, shard_a, shard_b = entry
-            counter[0] += 2
-            work.kv_reads += 2
-            work.kv_read_bytes += read_bytes
-            shard_reads[shard_a] += 1
-            shard_reads[shard_b] += 1
-        else:
-            lower = self._lower_with_charge(rank, a, b, ctx, counter)
-        # Frame: [rank, a, b, lower_edges, index]
-        frames = [[rank, a, b, lower, 0]]
-        returning: Optional[bool] = None
-        while frames:
-            if budget is not None and counter[0] > budget:
-                return _PARKED
-            frame = frames[-1]
-            erank, ea, eb, lower, index = frame
-            if returning is not None:
-                child_in, returning = returning, None
-                if child_in:
-                    frames.pop()
-                    returning = False
-                    continue
-                index += 1
-                frame[4] = index
-            descended = False
-            while index < len(lower):
-                crank, ca, cb = lower[index]
-                known = None
-                check_other = True
-                state = cache.get(ca)
-                if state is not None:
-                    work.cache_hits += 1
-                    if state[0] == _MATCHED:
-                        known = state[1] == cb and state[2] == crank
-                        check_other = False
-                    elif crank <= state[1]:
-                        known = False
-                        check_other = False
-                if check_other:
-                    state = cache.get(cb)
-                    if state is not None:
-                        work.cache_hits += 1
-                        if state[0] == _MATCHED:
-                            known = state[1] == ca and state[2] == crank
-                        elif crank <= state[1]:
-                            known = False
-                if known is True:
-                    frames.pop()
-                    returning = False
-                    descended = True
-                    break
-                if known is False:
-                    index += 1
-                    frame[4] = index
-                    continue
-                if budget is not None and counter[0] > budget:
-                    return _PARKED
-                memo_key = (ca, cb) if ca < cb else (cb, ca)
-                entry = memo.get(memo_key)
-                if entry is not None and entry[1] is not None:
-                    clower, read_bytes, shard_a, shard_b = entry
-                    counter[0] += 2
-                    work.kv_reads += 2
-                    work.kv_read_bytes += read_bytes
-                    shard_reads[shard_a] += 1
-                    shard_reads[shard_b] += 1
-                else:
-                    clower = self._lower_with_charge(crank, ca, cb, ctx,
-                                                     counter)
-                frames.append([crank, ca, cb, clower, 0])
-                descended = True
-                break
-            if descended:
-                continue
-            # No lower-rank incident edge in the matching: this edge joins.
-            cache[ea] = (_MATCHED, eb, erank)
-            cache[eb] = (_MATCHED, ea, erank)
-            frames.pop()
-            returning = True
-        return returning
-
     # -- the vertex process --------------------------------------------------
 
     def _vertex_search(self, vertex: int, incident, ctx: MachineContext):
         """Matched edge of ``vertex`` or None; _PARKED on budget."""
-        fast = self._cache is not None and self._resolved_store is None
         state = self._vertex_state(vertex, ctx)
         if state is not None:
             if state[0] == _MATCHED:
@@ -472,9 +466,8 @@ class _IsInMM(DoFn):
             if state[0] == _SEARCHED and state[1] >= 1.0:
                 return None
         counter = [0]
-        resolve = self._resolve_edge_fast if fast else self._resolve_edge
         for rank, neighbor in incident:
-            status = resolve(rank, vertex, neighbor, ctx, counter)
+            status = self._resolve_edge(rank, vertex, neighbor, ctx, counter)
             if status is _PARKED:
                 return _PARKED
             if status:
@@ -605,6 +598,7 @@ def ampc_maximal_matching(graph: Graph, *,
     preprocessing shuffle and KV-write.
     """
     require_positive("search_budget", search_budget)
+    require_positive("max_rounds", max_rounds)
     if runtime is None:
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics
@@ -636,7 +630,7 @@ def ampc_maximal_matching(graph: Graph, *,
         with metrics.phase("IsInMM"):
             outcome = pending.par_do(
                 _IsInMM(store, seed, resolved_store=resolved_store,
-                        budget=budget),
+                        budget=budget, records=prepared.records),
                 name="is-in-mm",
             )
         parked_records = []

@@ -471,6 +471,7 @@ def ampc_mis(graph: Graph, *,
     and KV-write entirely — the cross-run reuse the Session API builds on.
     """
     require_positive("search_budget", search_budget)
+    require_positive("max_rounds", max_rounds)
     if runtime is None:
         runtime = AMPCRuntime(config=config)
     metrics = runtime.metrics

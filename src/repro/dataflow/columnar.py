@@ -115,10 +115,18 @@ def partition_boxed(pipeline, items: Sequence, machine_ids) -> PCollection:
     """A PCollection from boxed items with precomputed placement (free).
 
     Twin of ``Pipeline.from_items(items, key_fn)`` when the per-item
-    machine ids were already computed by one vectorized pass.
+    machine ids were already computed by one vectorized pass.  Every
+    prepare stage emits its records machine-major; those are dealt as
+    one slice per machine.
     """
-    partitions: List[List] = [
-        [] for _ in range(pipeline.cluster.config.num_machines)]
+    num_machines = pipeline.cluster.config.num_machines
+    if (machine_ids[1:] >= machine_ids[:-1]).all():
+        bounds = np.searchsorted(
+            machine_ids, np.arange(num_machines + 1)).tolist()
+        return PCollection(pipeline, [
+            list(items[start:stop])
+            for start, stop in zip(bounds, bounds[1:])])
+    partitions: List[List] = [[] for _ in range(num_machines)]
     for item, machine in zip(items, machine_ids.tolist()):
         partitions[machine].append(item)
     return PCollection(pipeline, partitions)

@@ -116,6 +116,20 @@ class TestDataflowTwins:
         reference = pipeline.from_items(items, key_fn=lambda item: item[0])
         assert fast._partitions == reference._partitions
 
+    @pytest.mark.parametrize("size", [0, 1, 50])
+    def test_partition_boxed_slices_machine_major_items(self, size):
+        """What every prepare stage emits: non-decreasing machine ids
+        (machine 2 of 5 owns nothing here)."""
+        pipeline = Pipeline(Cluster(ClusterConfig(num_machines=5)))
+        machines = np.sort(placement_ids(np.arange(size, dtype=np.int64), 4))
+        machines[machines >= 2] += 1
+        items = [(key, key * key) for key in range(size)]
+        dealt = partition_boxed(pipeline, items, machines)._partitions
+        assert dealt == [
+            [item for item, machine in zip(items, machines) if machine == m]
+            for m in range(5)]
+        assert all(type(partition) is list for partition in dealt)
+
     def test_roundrobin_counts_match_cluster_partition(self):
         cluster = Cluster(ClusterConfig(num_machines=4))
         for size in (0, 1, 9, 10, 11, 100):

@@ -141,6 +141,32 @@ class TestIncrementalEqualsScratch:
         assert session.stats.incremental_updates == 3
 
 
+class TestRecordsMirrorTheStore:
+    """The MIS sweep's truth and matching's search plan derive structure
+    from ``prepared.records`` and only *charge* the store, so the two
+    must hold the same content in every generation of an artifact."""
+
+    @pytest.mark.parametrize("name", ["mis", "matching", "msf"])
+    def test_through_update_batches_and_a_fold(self, name):
+        session = Session(CONFIG, max_chain_generations=2)
+        graph = _build_graph(registry.get(name).input_kind)
+        handle = session.load("g", graph)
+        rng = random.Random(5)
+        generations = []
+        for _ in range(5):
+            session.run(name, "g", seed=1)
+            entry = next(reversed(session._cache.values()))  # just served
+            generations.append(entry.generations)
+            records, store = entry.prepared.records, entry.prepared.store
+            values, _ = store.lookup_many([key for key, _ in records])
+            assert values == [value for _, value in records]
+            assert store.total_entries == len(records)
+            insertions, deletions = _batch(graph, rng)
+            handle.apply_batch(insertions=insertions, deletions=deletions)
+        # a prepare, two derived generations, the fold, a derived one
+        assert generations == [0, 1, 2, 0, 1]
+
+
 class TestFallbacks:
     def test_journal_truncation_falls_back_to_full_prepare(self):
         session = Session(CONFIG)

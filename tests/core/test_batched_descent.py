@@ -2,8 +2,8 @@
 
 ``_IsInMIS``, ``_PrimSearch`` and ``_PointerJump`` serve a machine's
 whole partition through ``DoFn.process_batch`` as frontier sweeps, and
-``_IsInMM`` serves it as its per-element loop under a stage replay;
-their per-element ``process`` methods are the reference.  Switching the
+``_IsInMM`` as one walk over slot columns followed by its reads in
+batches; their per-element ``process`` methods are the reference.  Switching the
 batch hook off (``process_batch = None`` sends ``par_do`` down the
 per-element loop) turns any run into its oracle, and the two must agree
 on everything the simulator reports: outputs, every stage's per-machine
@@ -150,6 +150,24 @@ def edge_lists(draw, max_vertices=40):
     return n, [(u, v) for u, v in edges if u != v]
 
 
+@st.composite
+def hubs_and_chains(draw, max_vertices=48):
+    """High-degree and long-chain graphs — where the prefixes matching's
+    sweep takes in bulk are long: a few hubs wired to many vertices, or a
+    path through a drawn vertex order; random chords on top."""
+    n = draw(st.integers(2, max_vertices))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += zip(order, order[1:])
+    else:
+        for hub in draw(st.lists(vertex, min_size=1, max_size=3)):
+            edges += [(hub, spoke)
+                      for spoke in draw(st.sets(vertex, min_size=n // 2))]
+    return n, [(u, v) for u, v in edges if u != v]
+
+
 def plain_graph(n, edges):
     graph = Graph(n)
     for u, v in edges:
@@ -206,13 +224,14 @@ def test_msf_sweeps_match_the_scalar_searches(shape, config, layout, seed,
         seed=seed, faulty=faulty, search_budget=search_budget)
 
 
-@settings(max_examples=40, deadline=None)
-@given(edge_lists(), configs, layouts, st.integers(0, 3), st.booleans(),
-       st.sampled_from([None, None, 1, 6]))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(edge_lists(), hubs_and_chains()), configs, layouts,
+       st.integers(0, 3), st.booleans(), st.sampled_from([None, None, 1, 6]))
 def test_matching_batch_hook_matches_the_per_element_loop(
         shape, config, layout, seed, faulty, search_budget):
-    """``_IsInMM`` under its stage replay against the bare loop: the
-    recording run and the run after it (a replay on a plain store)."""
+    """``_IsInMM``'s sweep (its scalar loop, under a ``search_budget`` or
+    with the cache off) beneath the stage replay against the bare loop:
+    the recording run and the run after it (a replay on a plain store)."""
     assert_batched_equals_scalar(
         "matching", plain_graph(*shape), rerun=True, config=config,
         layout=layout, seed=seed, faulty=faulty, search_budget=search_budget)
@@ -280,8 +299,7 @@ def replay_graph(algorithm):
 def counted_walks(store):
     """What a run really walks: the keys of every batched read of
     ``store``, and the root of every per-element MIS or matching search
-    that actually runs (matching's edge memo can serve one without a
-    read)."""
+    that actually runs (a sweep runs none)."""
     reads, searches = [], []
     lookup_many = MachineContext.lookup_many
     walkers = [(mis_module._IsInMIS, "_resolve"),
@@ -316,7 +334,12 @@ def test_replay_charges_what_the_first_run_charged(algorithm):
     recorded stage instead of walking it: nothing observable differs."""
     graph = replay_graph(algorithm)
     config = ClusterConfig(num_machines=4)
-    first, prepared = trace(algorithm, graph, config=config, seed=1)
+    prepared = registry.get(algorithm).prepare(
+        graph, runtime=AMPCRuntime(config=config), seed=1)
+    with counted_walks(prepared.store) as (reads, _):
+        first, _ = trace(algorithm, graph, config=config, seed=1,
+                         prepared=prepared)
+    assert reads != []  # the recording run really reads the store
     reads_once = list(first.shard_reads)
     with counted_walks(prepared.store) as (reads, searches):
         second, _ = trace(algorithm, graph, config=config, seed=1,
@@ -362,6 +385,25 @@ def test_a_truncated_schedule_replays_its_first_round_only(algorithm):
     # round one walks every vertex; the replaying run skipped exactly that
     assert sorted(walked[:graph.num_vertices]) == list(graph.vertices())
     assert replayed == walked[graph.num_vertices:] != []
+
+
+def test_matching_sweeps_only_the_unbudgeted_cached_first_round():
+    """``caching=False``, a ``search_budget`` and the truncated rounds
+    after the first still go through ``_vertex_search``, root by root."""
+    graph = replay_graph("matching")
+    vertices = list(graph.vertices())
+
+    def searched(caching=True, **params):
+        with counted_walks(None) as (_, searches):
+            trace("matching", graph, seed=1, config=ClusterConfig(
+                num_machines=4, caching=caching), **params)
+        return searches
+
+    assert searched() == []
+    assert sorted(searched(caching=False)) == vertices
+    budgeted = searched(search_budget=1)
+    assert sorted(budgeted[:len(vertices)]) == vertices
+    assert budgeted[len(vertices):] != []  # the parked ones, retried
 
 
 # -- what reaches a real backing store --------------------------------------
@@ -418,13 +460,16 @@ def _query_traffic(algorithm, graph, config):
     return backing, sweeps
 
 
-@pytest.mark.parametrize("algorithm", ["mis", "msf"])
-def test_a_backed_query_reads_in_batches_only(algorithm):
-    n = 48
+def traffic_graph(algorithm, n=48):
     edges = [(v, (v + 1) % n) for v in range(n)] + [
         (v, (v * 5 + 2) % n) for v in range(0, n, 2)]
-    graph = (plain_graph(n, edges) if algorithm == "mis"
-             else weighted_graph(n, edges))
+    return (weighted_graph(n, edges) if algorithm == "msf"
+            else plain_graph(n, edges))
+
+
+@pytest.mark.parametrize("algorithm", ["mis", "matching", "msf"])
+def test_a_backed_query_reads_in_batches_only(algorithm):
+    graph = traffic_graph(algorithm)
     config = ClusterConfig(num_machines=3)
     batched, sweeps = _query_traffic(algorithm, graph, config)
     with scalar_oracle():
@@ -432,7 +477,25 @@ def test_a_backed_query_reads_in_batches_only(algorithm):
     assert batched.gets == 0
     # at most one backing round trip per sweep per machine
     assert 0 < batched.get_manys <= len(sweeps)
-    assert scalar.get_manys == 0 and scalar.gets > 0
+    if algorithm == "matching":
+        # the scalar edge process reads both endpoints of an edge at once
+        assert scalar.gets == 0
+        assert scalar.get_manys == sum(scalar.fetched.values()) // 2
+    else:
+        assert scalar.get_manys == 0 and scalar.gets > 0
+    assert batched.fetched == scalar.fetched
+
+
+def test_matching_issues_its_reads_in_bounded_batches(monkeypatch):
+    """A backed store holds a whole batch raw and decoded at once, so a
+    machine's reads go out ``_READ_BATCH`` keys at a time."""
+    monkeypatch.setattr(matching_module, "_READ_BATCH", 8)
+    graph = traffic_graph("matching")
+    config = ClusterConfig(num_machines=3)
+    batched, sweeps = _query_traffic("matching", graph, config)
+    with scalar_oracle():
+        scalar, _ = _query_traffic("matching", graph, config)
+    assert max(sweeps) == 8 and len(sweeps) > config.num_machines
     assert batched.fetched == scalar.fetched
 
 

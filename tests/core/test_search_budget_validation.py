@@ -4,11 +4,13 @@
 (silently the default budget) and negative budgets made every search
 return nothing; all three entry points now reject both, and the serving
 protocol reports it as a structured error on the request's own line.
+``max_rounds`` is held to the same check, before any stage is charged.
 """
 
 import pytest
 
 from repro.ampc.cluster import ClusterConfig
+from repro.ampc.runtime import AMPCRuntime
 from repro.core.matching import ampc_maximal_matching
 from repro.core.mis import ampc_mis
 from repro.core.msf import ampc_msf
@@ -28,6 +30,20 @@ CONFIG = ClusterConfig(num_machines=2)
 def test_non_positive_budgets_are_rejected(run, graph, budget):
     with pytest.raises(ValueError, match="search_budget must be at least 1"):
         run(graph, config=CONFIG, search_budget=budget)
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1])
+@pytest.mark.parametrize("run", [ampc_mis, ampc_maximal_matching],
+                         ids=["mis", "matching"])
+def test_non_positive_max_rounds_are_rejected_before_any_stage(run,
+                                                               max_rounds):
+    """Not a ``RuntimeError: did not converge`` after the preparation (a
+    shuffle and the KV write) has run and been charged."""
+    runtime = AMPCRuntime(config=CONFIG)
+    with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+        run(GRAPH, runtime=runtime, max_rounds=max_rounds)
+    assert runtime.metrics.summary() == \
+        AMPCRuntime(config=CONFIG).metrics.summary()
 
 
 def test_a_budget_of_one_is_a_budget_not_the_default():
