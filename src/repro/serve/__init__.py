@@ -2,11 +2,12 @@
 
 Five pieces:
 
-* :class:`~repro.serve.service.GraphService` — owns one thread-safe
-  :class:`~repro.api.session.Session` and a bounded worker pool; queries
-  run concurrently with per-run metrics isolation while sharing the
-  DHT-resident preprocessing.  Scales until the GIL does not.
-* :class:`~repro.serve.procpool.ProcessGraphService` — the same contract
+* :class:`~repro.serve.service.GraphService` — the in-process case of the
+  one dispatcher core, :class:`~repro.serve.service.ServiceBase`: one
+  thread-safe :class:`~repro.api.session.Session` and a bounded worker
+  pool; queries run concurrently with per-run metrics isolation while
+  sharing the DHT-resident preprocessing.  Scales until the GIL does not.
+* :class:`~repro.serve.procpool.ProcessGraphService` — the same core
   across N worker **processes**, each owning a private Session, with
   fingerprint-affinity routing (all queries for a graph go to the worker
   whose cache is warm, graphs pickled across the boundary once) — the

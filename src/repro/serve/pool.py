@@ -27,6 +27,10 @@ class ServiceClosedError(RuntimeError):
     """Submission to a pool/service that has been closed."""
 
 
+class WorkerDiedError(ServiceClosedError):
+    """A worker process exited while requests were outstanding."""
+
+
 class CancelledError(RuntimeError):
     """The work was cancelled while still queued (never started)."""
 

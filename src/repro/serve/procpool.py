@@ -1,39 +1,38 @@
-"""Process-parallel serving: a GraphService across N worker processes.
+"""Process-parallel serving: the dispatcher core across N worker processes.
 
 :class:`~repro.serve.service.GraphService` runs every query under one
 Python GIL — fine for I/O-shaped work, but the simulator is pure Python,
 so concurrent throughput saturates at one core.  This module lifts that
 limit the way the paper's production deployment does (many workers over a
 shared DHT): :class:`ProcessGraphService` owns **N worker processes, each
-with a private** :class:`~repro.api.session.Session`, behind the exact
-:class:`~repro.serve.service.ServiceBase` contract the thread service and
-the JSON-lines protocol already speak.
+with a private** :class:`~repro.api.session.Session`.  It is the thread
+service's dispatcher core (:class:`~repro.serve.service.ServiceBase`) with
+one lane per worker process, each with its own ``max_inflight_cost``
+admission budget; what lives here is only what is about processes:
 
-Design:
-
-* **Fingerprint-affinity routing.**  Queries are routed by the graph's
-  content fingerprint (:mod:`repro.api.fingerprint`): all queries for the
-  same graph go to the same worker, so that worker's preprocessing cache
-  serves every repeat — mirroring the per-shard ownership of the MPC
-  connectivity systems.  Affinity is assigned on first sight to the
-  least-loaded worker.
+* **Worker lifecycle and the pipe messages** (``run`` / ``update`` /
+  ``stats`` / ``unload`` / ``close``, heartbeats back); a crashed worker
+  is respawned in its slot.
+* **Fingerprint-affinity routing.**  All queries for the same graph
+  content go to the same worker, so its preprocessing cache serves every
+  repeat — mirroring the per-shard ownership of the MPC connectivity
+  systems.  Affinity is assigned on first sight to the least-loaded
+  worker; when the affinity worker's run queue is ``spill_threshold``
+  deeper than the least-loaded worker's, the query spills over (and
+  **re-prepares** there) and the affinity follows.
 * **Ship once, reference forever.**  A graph crosses the process boundary
-  at most once per worker: the first query pickles it into the ``run``
-  message, the worker registers it under its fingerprint, and every later
-  message carries only the fingerprint.
-* **Hot-queue rebalancing.**  When the affinity worker's run queue is
-  ``spill_threshold`` deeper than the least-loaded worker's, the query
-  spills over: it is routed to the least-loaded worker (shipping the
-  graph if unseen — the spill-over **re-prepare**) and the affinity moves
-  there, so subsequent queries follow the now-warm cache instead of
-  piling onto the hot worker.
-* **Coherent stats.**  Each worker ships its
-  :meth:`~repro.api.session.Session.stats_snapshot`;
-  :meth:`ProcessGraphService.stats` merges them through
-  :meth:`~repro.api.session.SessionStats.sum` into the same flat view
-  ``GraphService.stats()`` reports, plus routing counters
-  (``affinity_routed`` / ``rebalances`` / ``graphs_shipped``) and the
-  per-worker breakdown.
+  at most once per worker: pickled into the first ``run`` message on
+  ``sim``, or written once to the shared store on ``shm``/``socket``
+  (:class:`_BlobRef`); later messages carry only the fingerprint.
+* **Delta shipping.**  ``update`` sends the edge batch by fingerprint pair
+  to every worker holding the graph, never the graph itself.
+* **The monitor**: heartbeat-silent busy workers are killed and respawned;
+  sustained queue depth grows the pool up to ``autoscale_max``.
+
+``stats()`` merges the workers' :meth:`~repro.api.session.Session.stats_snapshot`
+through :meth:`~repro.api.session.SessionStats.sum` into the core's
+schema, plus routing counters (``affinity_routed`` / ``rebalances`` /
+``graphs_shipped``) and the per-worker breakdown.
 
 Per-query outputs are byte-identical to sequential ``Session.run``: the
 worker runs the same spec on the same graph with the same seed; only
@@ -56,25 +55,22 @@ import os
 import pickle
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.ampc.cluster import ClusterConfig
 from repro.ampc.faults import FaultPlan
 from repro.api import registry
-from repro.api.fingerprint import FingerprintMemo, graph_fingerprint
+from repro.api.fingerprint import FingerprintMemo
 from repro.api.result import RunResult
 from repro.api.session import GraphHandle, Session, SessionStats
 from repro.distdht.backend import create_backend
 from repro.distdht.backing import fetch
-from repro.graph.generators import degree_weighted
-from repro.graph.graph import WeightedGraph
-from repro.serve.admission import (AdmissionController, OverloadedError,
-                                   PeakHoldLoadEstimator,
-                                   estimate_query_cost)
+from repro.serve.admission import AdmissionController, PeakHoldLoadEstimator
 from repro.serve.pool import (DeadlineExceededError, PendingResult,
-                              ServiceClosedError, WorkerPool)
-from repro.serve.service import ServiceBase, derived_weighted_name
+                              ServiceClosedError, WorkerDiedError, WorkerPool)
+from repro.serve.service import ServiceBase, _Query
 
 #: SessionStats field names, for flattening per-worker snapshots
 _SESSION_STAT_FIELDS = tuple(field.name for field in fields(SessionStats))
@@ -103,10 +99,6 @@ class _BlobRef:
 
     def __setstate__(self, state):
         self.locator = state
-
-
-class WorkerDiedError(ServiceClosedError):
-    """A worker process exited while requests were outstanding."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +262,17 @@ def _worker_main(conn, index: int, config: Optional[ClusterConfig],
 # Dispatcher side
 
 
-class _Outstanding:
-    """One in-flight request: its future plus response post-processing."""
+class _Outstanding(NamedTuple):
+    """One in-flight request: its future, and the caller-facing graph name
+    a run result is stamped with."""
 
-    __slots__ = ("pending", "graph_name", "on_done", "is_run")
-
-    def __init__(self, pending: PendingResult, graph_name: Optional[str],
-                 on_done: Optional[Callable[
-                     [bool, Optional[BaseException]], None]],
-                 is_run: bool):
-        self.pending = pending
-        self.graph_name = graph_name
-        self.on_done = on_done
-        self.is_run = is_run
+    pending: PendingResult
+    graph_name: Optional[str]
+    is_run: bool
 
 
 class _WorkerClient:
-    """Dispatcher-side handle for one worker process.
+    """Dispatcher-side handle for one worker process: one lane.
 
     Sends are serialized under ``send_lock`` — which also guards the
     ``shipped`` set, so the ship-the-graph-exactly-once decision is
@@ -296,10 +282,7 @@ class _WorkerClient:
     responses arrive.
     """
 
-    def __init__(self, index: int, ctx, config, fault_plan, strict_rounds,
-                 max_cache_bytes, on_death=None,
-                 backend_spec=("sim", None, 1),
-                 heartbeat_interval_s: float = 0.5,
+    def __init__(self, index: int, ctx, worker_args: Tuple, on_death=None,
                  admission: Optional[AdmissionController] = None):
         self.index = index
         #: called (with this client) from the reader thread once the
@@ -309,12 +292,8 @@ class _WorkerClient:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, index, config, fault_plan, strict_rounds,
-                  max_cache_bytes, backend_spec, heartbeat_interval_s),
-            name=f"repro-serve-worker-{index}",
-            daemon=True,
-        )
+            target=_worker_main, args=(child_conn, index) + worker_args,
+            name=f"repro-serve-worker-{index}", daemon=True)
         self.process.start()
         child_conn.close()
         self.send_lock = threading.Lock()
@@ -326,7 +305,7 @@ class _WorkerClient:
         self.accepting = True
         self.alive = True
         self.last_stats: Optional[Dict[str, Any]] = None
-        #: this worker's token-budget gate (None = admission off)
+        #: this lane's token-budget gate (None = admission off)
         self.admission = admission
         #: hung-worker signal: flipped by the reader on *any* inbound
         #: message (heartbeats included); the monitor clears it each tick
@@ -342,8 +321,6 @@ class _WorkerClient:
     # -- request side ------------------------------------------------------
 
     def _register(self, graph_name: Optional[str],
-                  on_done: Optional[Callable[
-                      [bool, Optional[BaseException]], None]],
                   is_run: bool) -> Tuple[int, PendingResult]:
         pending = PendingResult()
         with self.lock:
@@ -356,7 +333,7 @@ class _WorkerClient:
             self._next_id += 1
             request_id = self._next_id
             self.pending[request_id] = _Outstanding(
-                pending, graph_name, on_done, is_run)
+                pending, graph_name, is_run)
             if is_run:
                 self.inflight_runs += 1
         return request_id, pending
@@ -369,10 +346,27 @@ class _WorkerClient:
             if not self.pending:
                 self.idle.notify_all()
 
+    @contextmanager
+    def _sending(self, request_id: int) -> Iterator[None]:
+        """Hold the send lock for one registered request's send.  A failed
+        send discards the request — a leak would inflate inflight_runs
+        and hang close's drain — and surfaces the error: a broken pipe as
+        :class:`WorkerDiedError`, anything else (an unpicklable graph or
+        parameter) as itself."""
+        try:
+            with self.send_lock:
+                yield
+        except (OSError, BrokenPipeError) as error:
+            self._discard(request_id)
+            raise WorkerDiedError(
+                f"worker {self.index} pipe is closed: {error}") from error
+        except BaseException:
+            self._discard(request_id)
+            raise
+
     def submit_run(self, algorithm: str, fingerprint: str, graph: Any,
                    seed: int, reuse: bool, params: Dict[str, Any],
                    graph_name: Optional[str],
-                   on_done: Callable[[bool, Optional[BaseException]], None],
                    deadline_at: Optional[float] = None) -> PendingResult:
         """Route one query to this worker, shipping the graph if unseen.
 
@@ -380,26 +374,14 @@ class _WorkerClient:
         the message; the worker answers expired-in-queue runs with
         ``DeadlineExceededError`` instead of executing them.
         """
-        request_id, pending = self._register(graph_name, on_done,
-                                             is_run=True)
-        try:
-            with self.send_lock:
-                ship = fingerprint not in self.shipped
-                self.conn.send(("run", request_id, algorithm, fingerprint,
-                                graph if ship else None, seed, reuse,
-                                dict(params), deadline_at))
-                if ship:
-                    self.shipped.add(fingerprint)
-        except (OSError, BrokenPipeError) as error:
-            self._discard(request_id)
-            raise WorkerDiedError(
-                f"worker {self.index} pipe is closed: {error}") from error
-        except BaseException:
-            # e.g. an unpicklable graph/param: surface the real error to
-            # the submitter, but never leak the registered pending entry
-            # (a leak would inflate inflight_runs and hang close's drain)
-            self._discard(request_id)
-            raise
+        request_id, pending = self._register(graph_name, is_run=True)
+        with self._sending(request_id):
+            ship = fingerprint not in self.shipped
+            self.conn.send(("run", request_id, algorithm, fingerprint,
+                            graph if ship else None, seed, reuse,
+                            dict(params), deadline_at))
+            if ship:
+                self.shipped.add(fingerprint)
         return pending
 
     def submit_update(self, old_fingerprint: str, new_fingerprint: str,
@@ -411,35 +393,19 @@ class _WorkerClient:
         the new fingerprint pipelines a fingerprint-only run *behind*
         this update instead of re-pickling the graph.
         """
-        request_id, pending = self._register(None, None, is_run=True)
-        try:
-            with self.send_lock:
-                self.conn.send(("update", request_id, old_fingerprint,
-                                new_fingerprint, list(insertions),
-                                list(deletions)))
-                self.shipped.discard(old_fingerprint)
-                self.shipped.add(new_fingerprint)
-        except (OSError, BrokenPipeError) as error:
-            self._discard(request_id)
-            raise WorkerDiedError(
-                f"worker {self.index} pipe is closed: {error}") from error
-        except BaseException:
-            self._discard(request_id)
-            raise
+        request_id, pending = self._register(None, is_run=True)
+        with self._sending(request_id):
+            self.conn.send(("update", request_id, old_fingerprint,
+                            new_fingerprint, list(insertions),
+                            list(deletions)))
+            self.shipped.discard(old_fingerprint)
+            self.shipped.add(new_fingerprint)
         return pending
 
     def request_stats(self) -> PendingResult:
-        request_id, pending = self._register(None, None, is_run=False)
-        try:
-            with self.send_lock:
-                self.conn.send(("stats", request_id))
-        except (OSError, BrokenPipeError) as error:
-            self._discard(request_id)
-            raise WorkerDiedError(
-                f"worker {self.index} pipe is closed: {error}") from error
-        except BaseException:
-            self._discard(request_id)
-            raise
+        request_id, pending = self._register(None, is_run=False)
+        with self._sending(request_id):
+            self.conn.send(("stats", request_id))
         return pending
 
     def send_unload(self, fingerprint: str) -> None:
@@ -470,13 +436,7 @@ class _WorkerClient:
                     self.idle.notify_all()
             if outstanding is None:
                 continue
-            ok = kind == "ok"
-            if outstanding.on_done is not None:
-                try:
-                    outstanding.on_done(ok, None if ok else payload)
-                except Exception:  # noqa: BLE001 - reader must not die
-                    pass
-            if ok:
+            if kind == "ok":
                 if isinstance(payload, RunResult):
                     # workers key graphs by fingerprint; restore the
                     # caller-facing registration name
@@ -503,11 +463,6 @@ class _WorkerClient:
             except Exception:  # noqa: BLE001 - the reader must not die
                 pass
         for outstanding in leftovers:
-            if outstanding.on_done is not None:
-                try:
-                    outstanding.on_done(False, error)
-                except Exception:  # noqa: BLE001
-                    pass
             outstanding.pending._fail(error)
 
     # -- lifecycle ---------------------------------------------------------
@@ -540,14 +495,14 @@ class _WorkerClient:
 
 
 class ProcessGraphService(ServiceBase):
-    """A GraphService whose queries run on N worker processes.
+    """The dispatcher core with one lane per worker process.
 
     Same contract as :class:`~repro.serve.service.GraphService`
-    (``load``/``submit``/``query``/``stats``/``close``, and the JSON-lines
-    protocol drives it unchanged); the difference is **where** queries
-    run: each worker process owns a private Session, so concurrent
-    CPU-bound queries actually run in parallel instead of time-slicing
-    one GIL.
+    (``load``/``submit``/``query``/``update``/``stats``/``close``, and the
+    JSON-lines protocol drives it unchanged); the difference is **where**
+    queries run: each worker process owns a private Session, so
+    concurrent CPU-bound queries actually run in parallel instead of
+    time-slicing one GIL.
 
     ``spill_threshold`` tunes the affinity/latency trade-off: a query
     leaves its graph's affinity worker only when that worker's run queue
@@ -586,17 +541,18 @@ class ProcessGraphService(ServiceBase):
                 "ProcessGraphService needs a backend spec string "
                 "(workers construct their own stores); got "
                 f"{type(backend).__name__}")
-        ctx = multiprocessing.get_context(mp_context)
-        #: spawn parameters, kept for worker respawn after a crash
-        self._ctx = ctx
+        self._init_core(default_deadline_s, bool(retry_worker_death),
+                        admission_queue_factor, admission_decay_s)
         self._config = config
-        self._fault_plan = fault_plan
-        self._strict_rounds = strict_rounds
-        self._max_cache_bytes = max_cache_bytes
         self._spill_threshold = spill_threshold
         self.backend = backend
-        self._backend_spec = (backend, list(dht_nodes) if dht_nodes else None,
-                              replication)
+        #: spawn parameters, kept for worker respawn after a crash: the
+        #: context, and ``_worker_main``'s arguments after the index
+        self._ctx = multiprocessing.get_context(mp_context)
+        self._worker_args = (
+            config, fault_plan, strict_rounds, max_cache_bytes,
+            (backend, list(dht_nodes) if dht_nodes else None, replication),
+            heartbeat_interval_s)
         #: the dispatcher's shared store for write-once graph blobs (None
         #: on "sim", where graphs pickle into the pipe per worker).  On
         #: "shm" the workers attach the dispatcher's segments; on
@@ -609,48 +565,22 @@ class ProcessGraphService(ServiceBase):
         #: shared store; its length is the write-once "graphs_shipped"
         self._published: Dict[str, Any] = {}
         self._graphs_published = 0
-        self._lock = threading.Lock()
-        #: serializes update() end to end (graph mutation, affinity move,
-        #: delta shipping) — see GraphService._update_lock
-        self._update_lock = threading.Lock()
-        self._closed = False
         self._workers_respawned = 0
         #: final stats payloads of workers that died and were replaced,
         #: so merged counters stay coherent across respawns (best-effort:
         #: only what the dead worker last reported)
         self._retired_stats: List[Dict[str, Any]] = []
-        #: queries lacking an explicit deadline inherit this one (seconds)
-        self.default_deadline_s = default_deadline_s
-        #: admission: each worker carries its own token budget of
+        #: admission: each worker lane carries its own token budget of
         #: ``max_inflight_cost`` priced simulated-seconds
         self._max_inflight_cost = max_inflight_cost
-        self._admission_queue_factor = admission_queue_factor
-        self._admission_decay_s = admission_decay_s
-        self._heartbeat_interval_s = heartbeat_interval_s
         # import every spec module before the first fork: fresh, respawned
         # and autoscaled workers start with the registry already loaded
         registry.specs()
         self._clients = [self._spawn(index) for index in range(processes)]
-        self._handles: Dict[str, GraphHandle] = {}
-        self._pinned: Dict[str, Any] = {}
-        #: base name -> (base fingerprint, derived graph, derived
-        #: fingerprint); the dispatcher-side degree-weighted cache
-        self._derived: Dict[str, Tuple[str, Any, str]] = {}
         self._affinity: Dict[str, int] = {}
         self._fingerprints = FingerprintMemo()
-        #: queries are idempotent (same spec, graph, seed -> same result),
-        #: so a query lost to a worker crash is re-dispatched once to a
-        #: surviving worker instead of surfacing WorkerDiedError
-        self._retry_worker_death = bool(retry_worker_death)
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._queries_shed = 0
-        self._queries_retried = 0
-        self._deadline_exceeded = 0
         self._affinity_routed = 0
         self._rebalances = 0
-        self._updates = 0
         #: control-plane thread pool: fans out per-worker stats gathering
         #: and close-time draining without serializing on slow workers
         self._control = WorkerPool(min(4, processes),
@@ -661,7 +591,6 @@ class ProcessGraphService(ServiceBase):
         self._monitor_interval_s = monitor_interval_s
         self._hung_after_intervals = hung_after_intervals
         self._scale_after_intervals = max(1, scale_after_intervals)
-        self._workers_scaled = 0
         self._workers_hung = 0
         self._grow_streak = 0
         #: peak-hold over total queued runs: shrink only once pressure
@@ -675,22 +604,20 @@ class ProcessGraphService(ServiceBase):
                 name="repro-procpool-monitor")
             self._monitor.start()
 
+    # bound here, not inherited: class-level wrappers (tracers) look the
+    # method up in this class's own namespace
+    submit = ServiceBase.submit
+
     # -- worker lifecycle --------------------------------------------------
 
+    @property
+    def processes(self) -> int:
+        return len(self._clients)
+
     def _spawn(self, index: int) -> _WorkerClient:
-        admission = None
-        if self._max_inflight_cost is not None:
-            admission = AdmissionController(
-                self._max_inflight_cost,
-                queue_factor=self._admission_queue_factor,
-                decay_half_life_s=self._admission_decay_s)
-        return _WorkerClient(index, self._ctx, self._config,
-                             self._fault_plan, self._strict_rounds,
-                             self._max_cache_bytes,
+        return _WorkerClient(index, self._ctx, self._worker_args,
                              on_death=self._on_worker_death,
-                             backend_spec=self._backend_spec,
-                             heartbeat_interval_s=self._heartbeat_interval_s,
-                             admission=admission)
+                             admission=self._gate(self._max_inflight_cost))
 
     # -- write-once blob publication ---------------------------------------
 
@@ -815,14 +742,14 @@ class ProcessGraphService(ServiceBase):
             if self._closed or len(self._clients) >= self._autoscale_max:
                 return
             self._clients.append(self._spawn(len(self._clients)))
-            self._workers_scaled += 1
+            self._counts["workers_scaled"] += 1
 
     def _scale_down(self) -> None:
         with self._lock:
             if self._closed or len(self._clients) <= self._base_processes:
                 return
             client = self._clients.pop()
-            self._workers_scaled += 1
+            self._counts["workers_scaled"] += 1
             # drop affinities pointing at the retired slot; the next
             # query on those graphs re-homes to a surviving worker
             for fingerprint in [f for f, i in self._affinity.items()
@@ -846,267 +773,20 @@ class ProcessGraphService(ServiceBase):
         except ServiceClosedError:
             client.shutdown(timeout=1.0)
 
-    # -- graph registry ----------------------------------------------------
+    # -- lanes: one per worker process -------------------------------------
 
-    @property
-    def processes(self) -> int:
-        return len(self._clients)
+    def _register(self, name: str, graph: Any) -> GraphHandle:
+        # not shipped here: the graph crosses the process boundary on the
+        # first query routed to each worker that needs it
+        return GraphHandle(name, graph)
 
-    def load(self, name: str, graph: Any, *, pin: bool = True) -> GraphHandle:
-        """Register ``graph`` under ``name`` for queries by name.
-
-        The graph is **not** shipped to any worker here — it crosses the
-        process boundary on the first query routed to each worker that
-        needs it (pickled once, then referenced by fingerprint).
-        """
-        handle = GraphHandle(name, graph)
+    def _pick_lane(self, query: _Query) -> _WorkerClient:
+        if query.handle is not None:
+            query.graph, query.fingerprint = query.handle.resolve()
+        elif query.fingerprint is None:
+            query.fingerprint = self._fingerprints.fingerprint(query.graph)
         with self._lock:
-            self._handles[name] = handle
-            if pin:
-                self._pinned[name] = graph
-            else:
-                self._pinned.pop(name, None)
-        return handle
-
-    def unload(self, name: str) -> None:
-        with self._lock:
-            handle = self._handles.pop(name, None)
-            self._pinned.pop(name, None)
-            derived = self._derived.pop(name, None)
-            fingerprints = []
-            if handle is not None:
-                fingerprints.append(handle.fingerprint)
-            if derived is not None:
-                fingerprints.append(derived[2])
-            for fingerprint in fingerprints:
-                self._affinity.pop(fingerprint, None)
-        for fingerprint in fingerprints:
-            self._unpublish(fingerprint)
-            for client in self._clients:
-                if fingerprint in client.shipped:
-                    client.send_unload(fingerprint)
-
-    def graphs(self) -> List[str]:
-        with self._lock:
-            return sorted(self._handles)
-
-    def update(self, name: str, insertions: Any = (),
-               deletions: Any = ()) -> GraphHandle:
-        """Apply an edge batch to a loaded graph (see ServiceBase.update).
-
-        The dispatcher-side copy mutates and chain-updates its
-        fingerprint; every worker already holding the graph receives the
-        **delta by fingerprint pair** — O(batch) on the pipe instead of
-        re-pickling the whole graph — applies it to its resident copy and
-        patches its cached artifacts on the next query.  Workers that
-        never saw the graph (or died and respawned) get the mutated graph
-        shipped lazily as usual.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("service is closed")
-            handle = self._handles.get(name)
-            known = ", ".join(sorted(self._handles)) or "(none)"
-        if handle is None:
-            raise KeyError(f"no graph loaded as {name!r}; loaded: {known}")
-        insertions = [tuple(edge) for edge in insertions]
-        deletions = [tuple(edge) for edge in deletions]
-        with self._update_lock:
-            old_fingerprint = handle.fingerprint
-            handle.apply_batch(insertions, deletions)
-            new_fingerprint = handle.fingerprint
-            if new_fingerprint == old_fingerprint:
-                return handle
-            with self._lock:
-                self._updates += 1
-                derived = self._derived.pop(name, None)
-                index = self._affinity.pop(old_fingerprint, None)
-                if index is not None:
-                    self._affinity[new_fingerprint] = index
-                if derived is not None:
-                    self._affinity.pop(derived[2], None)
-                clients = list(self._clients)
-            # stale shared blobs: the old-content pickle (and any
-            # degree-weighted derivation of it) must not be resolvable
-            # after the mutation — lazy re-ships publish the new content
-            self._unpublish(old_fingerprint)
-            if derived is not None:
-                self._unpublish(derived[2])
-                for client in clients:
-                    if derived[2] in client.shipped:
-                        client.send_unload(derived[2])
-            acknowledgements = []
-            for client in clients:
-                if client.alive and old_fingerprint in client.shipped:
-                    try:
-                        acknowledgements.append((client, client.submit_update(
-                            old_fingerprint, new_fingerprint,
-                            insertions, deletions)))
-                    except (WorkerDiedError, ServiceClosedError):
-                        pass  # the respawned worker re-ships lazily
-            for client, acknowledgement in acknowledgements:
-                try:
-                    acknowledgement.result(60.0)
-                except (WorkerDiedError, ServiceClosedError):
-                    pass  # failover/respawn re-ships lazily
-                except BaseException:
-                    # the worker could not apply the delta (or timed
-                    # out): its resident copy is unknown, so stop
-                    # claiming it holds the new content — the next query
-                    # routed there re-ships the full mutated graph
-                    with client.send_lock:
-                        client.shipped.discard(new_fingerprint)
-            return handle
-
-    # -- queries -----------------------------------------------------------
-
-    def submit(self, algorithm: str, graph: Any, *, seed: int = 0,
-               reuse_preprocessing: bool = True,
-               deadline: Optional[float] = None,
-               retry_worker_death: Optional[bool] = None,
-               **params: Any) -> PendingResult:
-        """Enqueue one query; returns a :class:`PendingResult`.
-
-        Unknown algorithms, undeclared parameters and unknown graph names
-        are rejected here, in the submitting thread (and process), so the
-        error surfaces immediately.  When admission control is on
-        (``max_inflight_cost``), the query is priced against the routed
-        worker's token budget first and may be shed with
-        :class:`~repro.serve.admission.OverloadedError`.  ``deadline``
-        is relative seconds; a query still queued when it passes is
-        cancelled worker-side before execution.
-
-        Queries are idempotent (same spec, graph and seed produce the
-        same result), so one lost to a worker crash is transparently
-        re-dispatched once to a surviving worker instead of failing with
-        :class:`WorkerDiedError`.  ``retry_worker_death`` overrides the
-        service-wide default per query (updates are never retried — they
-        mutate worker state).
-        """
-        spec = registry.get(algorithm)
-        merged = Session._merge_params(spec, params)
-        del merged  # validation only; the worker Session re-merges defaults
-        obj, fingerprint, name = self._resolve(graph)
-        obj, fingerprint, name = self._adapt_weighted(
-            spec, obj, fingerprint, name)
-        if deadline is None:
-            deadline = self.default_deadline_s
-        deadline_at = (time.monotonic() + deadline
-                       if deadline is not None else None)
-        retries = (self._retry_worker_death if retry_worker_death is None
-                   else bool(retry_worker_death))
-        outer = PendingResult(deadline=deadline_at)
-        self._dispatch_query(spec, obj, fingerprint, name, seed,
-                             reuse_preprocessing, params, deadline_at,
-                             outer, attempts_left=1 if retries else 0,
-                             first=True)
-        return outer
-
-    def _dispatch_query(self, spec, obj: Any, fingerprint: str,
-                        name: Optional[str], seed: int, reuse: bool,
-                        params: Dict[str, Any],
-                        deadline_at: Optional[float],
-                        outer: PendingResult, attempts_left: int,
-                        first: bool) -> None:
-        """One delivery attempt: route, admit, publish, send.
-
-        The caller-facing ``outer`` pending resolves from the attempt's
-        done-callback; a :class:`WorkerDiedError` with attempts left
-        re-enters here (routing picks a surviving — or respawned —
-        worker) instead of resolving.  On the first attempt errors
-        raise synchronously, exactly as submit always did; on re-
-        dispatch they fail ``outer``.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("service is closed")
-            client = self._route(fingerprint)
-        price = None
-        if client.admission is not None:
-            price = estimate_query_cost(
-                spec,
-                getattr(obj, "num_vertices", 0),
-                getattr(obj, "num_edges", 0),
-                # cached-state proxy: once the graph is resident on the
-                # worker, repeat queries ride its warm artifact cache
-                cached=fingerprint in client.shipped,
-                config=self._config)
-            decision, retry_after = client.admission.try_acquire(price)
-            if decision == "shed":
-                with self._lock:
-                    self._queries_shed += 1
-                raise OverloadedError(
-                    f"worker {client.index} overloaded, shed "
-                    f"{spec.name!r} (priced {price:.3f}s); "
-                    f"retry in {retry_after}s",
-                    retry_after_s=retry_after)
-        if first:
-            with self._lock:
-                self._submitted += 1
-        ship = obj
-        if self._blob_store is not None:
-            # ship-once becomes write-once: the message carries a tiny
-            # locator; the pickle exists once in the shared store no
-            # matter how many workers (or respawns or retries) resolve it
-            ship = self._publish(fingerprint, obj)
-
-        def forward(inner: PendingResult, client=client,
-                    price=price) -> None:
-            if price is not None and client.admission is not None:
-                client.admission.release(price)
-            error = inner.error
-            if isinstance(error, WorkerDiedError) and attempts_left > 0:
-                with self._lock:
-                    retryable = not self._closed
-                    if retryable:
-                        self._queries_retried += 1
-                if retryable:
-                    try:
-                        self._dispatch_query(spec, obj, fingerprint, name,
-                                             seed, reuse, params,
-                                             deadline_at, outer,
-                                             attempts_left - 1,
-                                             first=False)
-                        return
-                    except BaseException as retry_error:  # noqa: BLE001
-                        error = retry_error
-            self._account_outcome(error)
-            if error is None:
-                outer._resolve(inner._value)
-            else:
-                outer._fail(error)
-
-        try:
-            inner = client.submit_run(spec.name, fingerprint, ship, seed,
-                                      reuse, params, name, None,
-                                      deadline_at=deadline_at)
-        except BaseException as error:
-            if price is not None and client.admission is not None:
-                client.admission.release(price)
-            if isinstance(error, WorkerDiedError) and attempts_left > 0:
-                with self._lock:
-                    retryable = not self._closed
-                    if retryable:
-                        self._queries_retried += 1
-                if retryable:
-                    # _submitted was already counted above; the retry is
-                    # the same query, not a new one
-                    self._dispatch_query(spec, obj, fingerprint, name,
-                                         seed, reuse, params, deadline_at,
-                                         outer, attempts_left - 1,
-                                         first=False)
-                    return
-            raise
-        inner.add_done_callback(forward)
-
-    def _account_outcome(self, error: Optional[BaseException]) -> None:
-        with self._lock:
-            if error is None:
-                self._completed += 1
-            else:
-                self._failed += 1
-                if isinstance(error, DeadlineExceededError):
-                    self._deadline_exceeded += 1
+            return self._route(query.fingerprint)
 
     def _route(self, fingerprint: str) -> _WorkerClient:
         """Pick the worker for one query.  Caller holds the lock.
@@ -1139,46 +819,84 @@ class ProcessGraphService(ServiceBase):
         self._affinity_routed += 1
         return home
 
-    # -- graph resolution --------------------------------------------------
+    def _lanes(self) -> List[_WorkerClient]:
+        return list(self._clients)
 
-    def _resolve(self, graph: Any) -> Tuple[Any, str, Optional[str]]:
-        """-> (graph object, content fingerprint, registered name or None)."""
-        if isinstance(graph, str):
-            with self._lock:
-                handle = self._handles.get(graph)
-                known = ", ".join(sorted(self._handles)) or "(none)"
-            if handle is None:
-                raise KeyError(
-                    f"no graph loaded as {graph!r}; loaded: {known}")
-            graph = handle
-        if isinstance(graph, GraphHandle):
-            obj, fingerprint = graph.resolve()
-            return obj, fingerprint, graph.name
-        return graph, self._fingerprints.fingerprint(graph), None
+    def _is_warm(self, lane: _WorkerClient, query: _Query) -> bool:
+        # cached-state proxy: once the graph is resident on the worker,
+        # repeat queries ride its warm artifact cache
+        return query.fingerprint in lane.shipped
 
-    def _adapt_weighted(self, spec, obj: Any, fingerprint: str,
-                        name: Optional[str]
-                        ) -> Tuple[Any, str, Optional[str]]:
-        """Weighted algorithms on unweighted graphs get the paper's
-        deg(u)+deg(v) weights, derived dispatcher-side once per base
-        fingerprint and shipped like any other graph."""
-        if spec.input_kind != "weighted" or obj is None:
-            return obj, fingerprint, name
-        if isinstance(obj, WeightedGraph):
-            return obj, fingerprint, name
-        if name is None:
-            derived = degree_weighted(obj)
-            return derived, graph_fingerprint(derived), None
+    def _start(self, lane: _WorkerClient, query: _Query) -> PendingResult:
+        ship = query.graph
+        if self._blob_store is not None:
+            # ship-once becomes write-once: the message carries a tiny
+            # locator; the pickle exists once in the shared store no
+            # matter how many workers (or respawns or retries) resolve it
+            ship = self._publish(query.fingerprint, query.graph)
+        return lane.submit_run(
+            query.spec.name, query.fingerprint, ship, query.seed,
+            query.reuse, query.params,
+            query.handle.name if query.handle is not None else None,
+            deadline_at=query.deadline_at)
+
+    def _forget(self, name: Optional[str], fingerprints: List[str]) -> None:
+        """Drop the routing, the shared blob and every resident copy of
+        each fingerprint."""
         with self._lock:
-            cached = self._derived.get(name)
-            if cached is not None and cached[0] == fingerprint:
-                return cached[1], cached[2], derived_weighted_name(name)
-        derived = degree_weighted(obj)
-        derived_fingerprint = graph_fingerprint(derived)
+            for fingerprint in fingerprints:
+                self._affinity.pop(fingerprint, None)
+            clients = list(self._clients)
+        for fingerprint in fingerprints:
+            self._unpublish(fingerprint)
+            for client in clients:
+                if fingerprint in client.shipped:
+                    client.send_unload(fingerprint)
+
+    def _after_update(self, handle: GraphHandle, old_fingerprint: str,
+                      insertions: List[Tuple], deletions: List[Tuple],
+                      derived: Optional[Tuple[str, Any, GraphHandle]]
+                      ) -> None:
+        """Ship the batch by fingerprint pair — O(batch) on the pipe
+        instead of re-pickling the whole graph — to every worker holding
+        the old content; each applies it to its resident copy and patches
+        its cached artifacts on the next query.  Workers that never saw
+        the graph (or died and respawned) get the mutated graph shipped
+        lazily as usual.
+        """
+        new_fingerprint = handle.fingerprint
         with self._lock:
-            self._derived[name] = (fingerprint, derived,
-                                   derived_fingerprint)
-        return derived, derived_fingerprint, derived_weighted_name(name)
+            index = self._affinity.pop(old_fingerprint, None)
+            if index is not None:
+                self._affinity[new_fingerprint] = index
+            clients = list(self._clients)
+        # stale shared blobs: the old-content pickle (and any
+        # degree-weighted derivation of it) must not be resolvable
+        # after the mutation — lazy re-ships publish the new content
+        self._unpublish(old_fingerprint)
+        if derived is not None:
+            self._forget(None, [derived[2].fingerprint])
+        acknowledgements = []
+        for client in clients:
+            if client.alive and old_fingerprint in client.shipped:
+                try:
+                    acknowledgements.append((client, client.submit_update(
+                        old_fingerprint, new_fingerprint,
+                        insertions, deletions)))
+                except ServiceClosedError:
+                    pass  # the respawned worker re-ships lazily
+        for client, acknowledgement in acknowledgements:
+            try:
+                acknowledgement.result(60.0)
+            except ServiceClosedError:
+                pass  # failover/respawn re-ships lazily
+            except Exception:  # noqa: BLE001 - any failure, same remedy
+                # the worker could not apply the delta (or timed out):
+                # its resident copy is unknown, so stop claiming it holds
+                # the new content — the next query routed there re-ships
+                # the full mutated graph
+                with client.send_lock:
+                    client.shipped.discard(new_fingerprint)
 
     # -- accounting / lifecycle --------------------------------------------
 
@@ -1231,74 +949,41 @@ class ProcessGraphService(ServiceBase):
             snapshots.append(flat)
         return snapshots
 
-    def stats(self, timeout: Optional[float] = 60.0) -> Dict[str, Any]:
-        """The merged view: GraphService's flat keys, routing counters,
-        and the per-worker breakdown under ``per_worker``."""
+    def _session_stats(self, timeout: Optional[float]) -> Dict[str, Any]:
+        """The workers' merged SessionStats (replaced workers' last reports
+        included), cache gauges, routing counters, and the per-worker
+        breakdown under ``per_worker``."""
         per_worker = self.worker_stats(timeout)
         merged = SessionStats.sum(
             SessionStats(**{f: row[f] for f in _SESSION_STAT_FIELDS})
             for row in per_worker)
         with self._lock:
-            # replaced workers' last-reported counters stay in the total
             for payload in self._retired_stats:
                 merged.merge(payload["stats"])
             stats: Dict[str, Any] = {
-                "backend": self.backend,
                 "workers": len(self._clients),
                 "processes": len(self._clients),
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "failed": self._failed,
-                "queries_shed": self._queries_shed,
-                "queries_retried": self._queries_retried,
-                "deadline_exceeded": self._deadline_exceeded,
-                "workers_scaled": self._workers_scaled,
                 "workers_hung": self._workers_hung,
-                "graphs_loaded": len(self._handles),
                 "affinity_routed": self._affinity_routed,
                 "rebalances": self._rebalances,
-                "updates": self._updates,
                 "workers_respawned": self._workers_respawned,
+                # write-once fronting: a graph "ships" when its blob is
+                # written to the shared store, however many workers read it
+                "graphs_shipped": self._graphs_published,
             }
-            clients = list(self._clients)
+        if self._blob_store is None:
+            stats["graphs_shipped"] = sum(
+                row["graphs_shipped"] for row in per_worker)
         stats["stale_workers"] = [row["worker"] for row in per_worker
-                                  if row.get("stale")]
-        if self._max_inflight_cost is not None:
-            merged_admission: Dict[str, Any] = {
-                "budget": 0.0, "inflight_cost": 0.0,
-                "admitted": 0, "queued": 0, "shed": 0,
-            }
-            for client in clients:
-                if client.admission is None:
-                    continue
-                snap = client.admission.snapshot()
-                merged_admission["budget"] += snap["budget"]
-                merged_admission["inflight_cost"] += snap["inflight_cost"]
-                merged_admission["admitted"] += snap["admitted"]
-                merged_admission["queued"] += snap["queued"]
-                merged_admission["shed"] += snap["shed"]
-            stats["admission"] = merged_admission
+                                  if row["stale"]]
         stats["cached_preprocessings"] = sum(
             row["cached_preprocessings"] for row in per_worker)
         stats["cache_bytes"] = sum(row["cache_bytes"] for row in per_worker)
-        if self._blob_store is not None:
-            # write-once fronting: a graph "ships" when its blob is
-            # written to the shared store, however many workers read it
-            with self._lock:
-                stats["graphs_shipped"] = self._graphs_published
-        else:
-            stats["graphs_shipped"] = sum(
-                row["graphs_shipped"] for row in per_worker)
         stats.update(merged.to_dict())
         stats["per_worker"] = per_worker
         return stats
 
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting queries; in-flight queries drain when waiting."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _close_lanes(self, wait: bool) -> None:
         self._monitor_stop.set()
         if self._monitor is not None:
             self._monitor.join(self._monitor_interval_s * 4 + 5.0)

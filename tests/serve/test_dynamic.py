@@ -8,7 +8,6 @@ workers in place.
 
 import io
 import json
-import os
 import time
 
 import pytest
@@ -19,7 +18,7 @@ from repro.graph.generators import erdos_renyi_gnm
 from repro.serve import GraphService, ProcessGraphService, serve_stream
 
 CONFIG = ClusterConfig(num_machines=4)
-PROCESSES = int(os.environ.get("REPRO_SERVE_PROCESSES", "2"))
+PROCESSES = 2
 
 
 def _graph():

@@ -7,9 +7,6 @@ isolated and the merged stats equal to the field-wise sum of the
 per-worker SessionStats.  On top of that, routing is observable: the same
 graph lands on the same worker (affinity -> cache hits), and a hot queue
 spills over to the least-loaded worker.
-
-``REPRO_SERVE_PROCESSES`` overrides the worker-process count (CI runs the
-suite with 2).
 """
 
 import dataclasses
@@ -33,7 +30,7 @@ from repro.serve import (
     serve_socket,
 )
 
-PROCESSES = int(os.environ.get("REPRO_SERVE_PROCESSES", "2"))
+PROCESSES = 2
 CONFIG = ClusterConfig(num_machines=4)
 
 GRAPHS = {
@@ -242,6 +239,17 @@ def test_unpicklable_graph_fails_at_submit_and_close_does_not_hang():
         assert service.query("mis", "ok", timeout=300).algorithm == "mis"
     # context-manager exit ran close(wait=True): reaching here means the
     # drain did not wedge on the discarded request
+
+    # on shm the pickle fails while publishing the blob, before any pipe:
+    # the admission charge is still released and the query never counted
+    with ProcessGraphService(CONFIG, processes=1, backend="shm",
+                             max_inflight_cost=1e9) as service:
+        with pytest.raises(Exception) as excinfo:
+            service.submit("mis", poisoned)
+        assert not isinstance(excinfo.value, ServiceClosedError)
+        stats = service.stats()
+        assert stats["admission"]["inflight_cost"] == 0.0
+        assert stats["submitted"] == stats["completed"] + stats["failed"]
 
 
 def test_unload_forgets_the_name():

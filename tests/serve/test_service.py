@@ -5,7 +5,7 @@ import pytest
 from repro.ampc.cluster import ClusterConfig
 from repro.api import Session
 from repro.graph.generators import erdos_renyi_gnm
-from repro.serve import GraphService, ServiceClosedError
+from repro.serve import GraphService, ProcessGraphService, ServiceClosedError
 
 CONFIG = ClusterConfig(num_machines=4)
 GRAPH = erdos_renyi_gnm(40, 100, seed=1)
@@ -48,11 +48,10 @@ class TestQueries:
         assert not first.preprocessing_reused
         assert second.preprocessing_reused
 
-    def test_unknown_graph_fails_in_worker(self, service):
-        pending = service.submit("mis", "nope", seed=0)
-        error = pending.exception(60)
-        assert isinstance(error, KeyError)
-        assert service.stats()["failed"] == 1
+    def test_unknown_graph_rejected_at_submit(self, service):
+        with pytest.raises(KeyError, match="no graph loaded"):
+            service.submit("mis", "nope", seed=0)
+        assert service.stats()["submitted"] == 0
 
     def test_unknown_algorithm_rejected_at_submit(self, service):
         with pytest.raises(KeyError, match="unknown algorithm"):
@@ -109,3 +108,44 @@ class TestLifecycle:
         svc.close(wait=True)
         assert all(p.done() for p in pending)
         assert {p.result().seed for p in pending} == set(range(6))
+
+
+@pytest.mark.parametrize("service_cls", [GraphService, ProcessGraphService],
+                         ids=["threads", "processes"])
+def test_both_services_make_the_same_decisions(service_cls):
+    """One dispatcher core: an unknown name is rejected at submit, graphs()
+    and graphs_loaded count what the caller loaded (not the derivation an
+    msf query builds), and update on a closed service raises instead of
+    mutating the graph."""
+    graph = erdos_renyi_gnm(40, 100, seed=1)
+    kwargs = ({"workers": 1} if service_cls is GraphService
+              else {"processes": 1})
+    service = service_cls(CONFIG, **kwargs)
+    with service:
+        service.load("g", graph)
+        with pytest.raises(KeyError, match="no graph loaded"):
+            service.submit("mis", "nope")
+        service.query("msf", "g", seed=1, timeout=120)
+        assert service.graphs() == ["g"]
+        stats = service.stats()
+        assert stats["graphs_loaded"] == 1
+        assert (stats["submitted"], stats["completed"],
+                stats["failed"]) == (1, 1, 0)
+    edges = graph.num_edges
+    with pytest.raises(ServiceClosedError):
+        service.update("g", deletions=[next(iter(graph.edges()))])
+    assert graph.num_edges == edges
+
+
+def test_thread_stats_keys_are_a_subset_of_the_process_schema():
+    with GraphService(CONFIG, workers=1, max_inflight_cost=1e9) as threads, \
+            ProcessGraphService(CONFIG, processes=1,
+                                max_inflight_cost=1e9) as processes:
+        for service in (threads, processes):
+            service.load("g", GRAPH)
+            service.query("mis", "g", seed=0, timeout=120)
+        mine, theirs = threads.stats(), processes.stats()
+    assert set(mine) <= set(theirs)
+    for key in mine:
+        assert type(mine[key]) is type(theirs[key]), key
+    assert set(mine["admission"]) == set(theirs["admission"])
