@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.ampc.vector import placement_ids
 
-__all__ = ["ColumnarRecords", "unbox_rows"]
+__all__ = ["ColumnarRecords", "ValueBlock", "unbox_rows"]
 
 
 class ColumnarRecords:
@@ -170,3 +170,34 @@ def unbox_rows(values: Sequence, dtypes: Optional[Sequence] = None):
         np.fromiter(map(itemgetter(field), rows), dtype=dtype,
                     count=len(rows))
         for field, dtype in enumerate(dtypes))
+
+
+class ValueBlock:
+    """The answer to one batched read, boxed values in key order.
+
+    What :meth:`~repro.ampc.dht.DHTStore.lookup_block` returns on a store
+    holding Python objects: ``values()`` is the ``lookup_many`` list
+    (None for misses), and the column views unbox it.  A backed store
+    returns a subclass that answers the column views straight from its
+    fixed-width records instead.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Sequence):
+        self._values = values
+
+    def values(self) -> Sequence:
+        return self._values
+
+    def columns(self, dtypes: Optional[Sequence] = None):
+        """``(row counts, columns)`` — exactly :func:`unbox_rows` of
+        :meth:`values`."""
+        return unbox_rows(self.values(), dtypes)
+
+    def scalars(self, dtype=np.int64, missing=-1):
+        """One scalar value per key as a column, ``missing`` for misses."""
+        values = self.values()
+        return np.fromiter(
+            (missing if value is None else value for value in values),
+            dtype=dtype, count=len(values))

@@ -18,6 +18,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ampc.columnar import ValueBlock
 from repro.ampc.cost_model import estimate_bytes
 from repro.ampc.hashing import _MASK, _SEED, stable_hash
 from repro.ampc.vector import placement_ids
@@ -161,8 +162,8 @@ class DHTStore:
         shard placement, same write-time size memo, same totals, same
         per-shard insertion order — but the sizes and shard ids arrive as
         precomputed columns (one vectorized pass each), so only the dict
-        inserts remain per-record.  Subclasses (backed stores, derived
-        overlays) fall back to their own ``write_many``.
+        inserts remain per-record.  Derived overlays fall back to their
+        own ``write_many``; backed stores override this.
         """
         if type(self) is not DHTStore:
             return self.write_many(records.items())
@@ -202,6 +203,12 @@ class DHTStore:
         self.sealed = True
 
     # -- reads ---------------------------------------------------------
+
+    def _check_readable(self) -> None:
+        if self._strict_rounds and not self.sealed:
+            raise StoreSealedError(
+                f"store {self.name!r} is still being written this round"
+            )
 
     def lookup(self, key: Any) -> Any:
         """Read one key; returns None for missing keys (get semantics)."""
@@ -274,6 +281,17 @@ class DHTStore:
                     total += size
         return values, total
 
+    def lookup_block(self, keys: List[Any]) -> Tuple[ValueBlock, int]:
+        """:meth:`lookup_many` as a block the sweeps read columns from.
+
+        Same reads, same ``shard_reads``, same byte total; the block's
+        ``values()`` is the ``lookup_many`` list and ``columns(dtypes)``
+        its :func:`~repro.ampc.columnar.unbox_rows`.  Backed stores
+        override this to answer from their records without boxing.
+        """
+        values, total = self.lookup_many(keys)
+        return ValueBlock(values), total
+
     def _route_batch(self, keys: List[Any]) -> Optional[List[int]]:
         """Shard of each key of a large batch, reads counted — or None.
 
@@ -321,6 +339,11 @@ class DHTStore:
         if size is None:
             return None
         return self._shards[shard_index][key], size
+
+    def _entry_size(self, key: Any, shard_index: int) -> Optional[int]:
+        """The recorded size of the live entry under ``key``, or None —
+        :meth:`_entry` without touching the value."""
+        return self._sizes[shard_index].get(key)
 
     def derive(self, name: Optional[str] = None) -> "DerivedDHTStore":
         """Unseal this sealed store into a copy-on-write child.
@@ -428,6 +451,14 @@ class DerivedDHTStore(DHTStore):
             return self._shards[shard_index][key], size
         return self.parent._entry(key, shard_index)
 
+    def _entry_size(self, key: Any, shard_index: int) -> Optional[int]:
+        if key in self._deleted[shard_index]:
+            return None
+        size = self._sizes[shard_index].get(key)
+        if size is not None:
+            return size
+        return self.parent._entry_size(key, shard_index)
+
     # -- writes ----------------------------------------------------------
 
     def write(self, key: Any, value: Any) -> int:
@@ -446,12 +477,12 @@ class DerivedDHTStore(DHTStore):
                 self.total_entries += 1
                 self.total_value_bytes += value_bytes
             else:
-                shadowed = self.parent._entry(key, shard_index)
+                shadowed = self.parent._entry_size(key, shard_index)
                 if shadowed is None:
                     self.total_entries += 1
                     self.total_value_bytes += value_bytes
                 else:
-                    self.total_value_bytes += value_bytes - shadowed[1]
+                    self.total_value_bytes += value_bytes - shadowed
         self._shards[shard_index][key] = value
         sizes[key] = value_bytes
         return value_bytes
@@ -481,26 +512,20 @@ class DerivedDHTStore(DHTStore):
             del self._shards[shard_index][key]
             self.total_entries -= 1
             self.total_value_bytes -= removed
-            if self.parent._entry(key, shard_index) is not None:
+            if self.parent._entry_size(key, shard_index) is not None:
                 self._deleted[shard_index].add(key)
             return True
         if key in self._deleted[shard_index]:
             return False
-        shadowed = self.parent._entry(key, shard_index)
+        shadowed = self.parent._entry_size(key, shard_index)
         if shadowed is None:
             return False
         self._deleted[shard_index].add(key)
         self.total_entries -= 1
-        self.total_value_bytes -= shadowed[1]
+        self.total_value_bytes -= shadowed
         return True
 
     # -- reads -----------------------------------------------------------
-
-    def _check_readable(self) -> None:
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
 
     def lookup(self, key: Any) -> Any:
         self._check_readable()

@@ -59,8 +59,8 @@ _UNSEEN = -1.0
 _SEARCHED_OUT = 1.0  # searched to the end: unmatched
 _MATCHED_STATE = 2.0
 
-#: keys per ``lookup_many`` of the sweep's reads — bounds what a backed
-#: store holds, raw and decoded, at once
+#: keys per ``lookup_block`` of the sweep's reads — bounds the records a
+#: backed store holds at once
 _READ_BATCH = 512
 
 
@@ -187,7 +187,7 @@ class _IsInMM(DoFn):
     round and the cache switched off, and is the oracle of :meth:`_sweep`,
     which walks flat columns derived once from ``records`` (all of
     ``store``'s records) and issues the walk's reads afterwards, as
-    ``lookup_many`` batches.
+    ``lookup_block`` batches (charged, never decoded).
     """
 
     def __init__(self, store: DHTStore, seed: int, *,
@@ -327,7 +327,7 @@ class _IsInMM(DoFn):
         keys = np.stack((plan.nbr[plan.twin[slots]], plan.nbr[slots]),
                         axis=1).ravel().tolist()
         for start in range(0, len(keys), _READ_BATCH):
-            ctx.lookup_many(self._store, keys[start:start + _READ_BATCH])
+            ctx.lookup_block(self._store, keys[start:start + _READ_BATCH])
         ctx.work.cache_hits += hits
         return outputs
 

@@ -134,7 +134,7 @@ class _IsInMIS(DoFn):
       (Section 5.3's multithreading): the unbudgeted, cache-on descent
       probes a set of vertices that does not depend on the order of the
       searches, so it is expanded as level-synchronous frontier sweeps,
-      one ``lookup_many`` per sweep.
+      one ``lookup_block`` per sweep.
 
     ``resolved_store`` (theory variant only) holds states committed in
     earlier rounds; consulting it costs a KV read like any other lookup.
@@ -223,8 +223,8 @@ class _IsInMIS(DoFn):
                 break
             expanded[frontier] = True
             closure += len(frontier)
-            counts, (neighbors,) = unbox_rows(
-                ctx.lookup_many(store, frontier.tolist()))
+            counts, (neighbors,) = ctx.lookup_block(
+                store, frontier.tolist()).columns()
         sources = np.concatenate(probe_sources)
         targets = np.concatenate(probe_targets)
         # first[v]: index of the earliest element whose search reaches v
@@ -238,7 +238,7 @@ class _IsInMIS(DoFn):
                 break
             np.minimum.at(first, targets[earlier], reach[earlier])
         read_roots = roots[first[roots] < element_index]
-        ctx.lookup_many(store, read_roots.tolist())
+        ctx.lookup_block(store, read_roots.tolist())
         ctx.work.cache_hits += len(targets) + len(roots) - closure
         return [("in", vertex, ()) for vertex in roots[in_mis[roots]].tolist()]
 

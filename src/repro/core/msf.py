@@ -143,7 +143,7 @@ class _PrimSearch(DoFn):
     Each vertex's search is a pure function of the sealed adjacency
     store, the vertex ranks and the budget — no state crosses elements —
     so a machine advances all of its searches together, one Prim step
-    per sweep and one ``lookup_many`` per sweep (:meth:`_sweep`; the
+    per sweep and one ``lookup_block`` per sweep (:meth:`_sweep`; the
     concurrency Section 5.3's multithreading buys).  :meth:`_search` is
     the one-search-at-a-time form, the oracle the sweep is tested
     against.
@@ -255,11 +255,11 @@ class _PrimSearch(DoFn):
             explored = y[explorers]
             visit.append(np.column_stack((explored, roots[explorers])))
             # charged even when the budget stops the search right after
-            fetched = ctx.lookup_many(store, explored.tolist())
+            fetched = ctx.lookup_block(store, explored.tolist())
             if size + 1 >= self._budget:
                 break
-            degrees, (new_far, new_weight) = unbox_rows(
-                fetched, _ADJACENCY_DTYPES)
+            degrees, (new_far, new_weight) = fetched.columns(
+                _ADJACENCY_DTYPES)
             new_search = np.repeat(explorers, degrees)
             new_near = np.repeat(explored, degrees)
             push = ~(visited[new_search] == new_far[:, None]).any(axis=1)
@@ -279,7 +279,7 @@ class _PointerJump(DoFn):
     :meth:`process` walks one vertex at a time.  Given ``parents`` — the
     pointer map as a column (vertex -> parent, -1 for a root), which the
     combine stage that wrote ``store`` has in hand — a machine walks all
-    of its vertices in lock step instead, one ``lookup_many`` per level
+    of its vertices in lock step instead, one ``lookup_block`` per level
     (:meth:`_sweep`), with the same reads, cache hits and chain depths.
     """
 
@@ -359,10 +359,7 @@ class _PointerJump(DoFn):
             at = vertices
         depth = 0
         while len(at):
-            fetched = ctx.lookup_many(store, at.tolist())
-            above = np.fromiter(
-                (-1 if parent is None else parent for parent in fetched),
-                dtype=np.int64, count=len(fetched))
+            above = ctx.lookup_block(store, at.tolist()).scalars(np.int64, -1)
             climbing = (above >= 0) & (above != at)
             at = above[climbing]
             if owner is not None:

@@ -10,16 +10,17 @@ per-machine AMPC communication budget.
 Two batching seams keep the simulator fast without changing any charged
 number:
 
-* :meth:`MachineContext.lookup_many` / :meth:`MachineContext.write_many`
-  aggregate shard routing and :class:`~repro.ampc.cluster.MachineWork`
-  accounting over a batch of keys — the per-query batching the paper (and
-  the MPC connectivity line of work) uses to amortize KV round trips.
+* :meth:`MachineContext.lookup_many` / :meth:`MachineContext.lookup_block`
+  / :meth:`MachineContext.write_many` aggregate shard routing and
+  :class:`~repro.ampc.cluster.MachineWork` accounting over a batch of
+  keys — the per-query batching the paper (and the MPC connectivity line
+  of work) uses to amortize KV round trips.
   They charge exactly what the equivalent sequence of single calls would.
 * A DoFn that can serve its whole partition at once may override
   :attr:`DoFn.process_batch`; ``par_do`` then makes one call per machine
   instead of one per element.  The adaptive query phases use it to keep
   a machine's independent searches in flight together (Section 5.3's
-  multithreading): one ``lookup_many`` per frontier sweep.
+  multithreading): one ``lookup_block`` per frontier sweep.
 """
 
 from __future__ import annotations
@@ -61,6 +62,25 @@ class MachineContext:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         values, value_bytes = store.lookup_many(keys)
+        self._charge_reads(keys, value_bytes)
+        return values
+
+    def lookup_block(self, store: DHTStore, keys: Sequence[Any]):
+        """:meth:`lookup_many` for a sweep that wants columns.
+
+        Charged exactly like :meth:`lookup_many`; returns a block whose
+        ``columns(dtypes)`` equals ``unbox_rows(lookup_many(keys),
+        dtypes)`` (see :class:`~repro.ampc.columnar.ValueBlock`).  A
+        backed store answers it from its records in one batched fetch,
+        decoding columns only when asked.
+        """
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        block, value_bytes = store.lookup_block(keys)
+        self._charge_reads(keys, value_bytes)
+        return block
+
+    def _charge_reads(self, keys: Sequence[Any], value_bytes: int) -> None:
         if len(keys) >= 32 and set(map(type, keys)) <= {int}:
             key_bytes = 8 * len(keys)  # vertex ids: no per-key walk
         else:
@@ -68,9 +88,8 @@ class MachineContext:
             for key in keys:
                 key_bytes += 8 if type(key) is int else estimate_bytes(key)
         work = self.work
-        work.kv_reads += len(values)
+        work.kv_reads += len(keys)
         work.kv_read_bytes += key_bytes + value_bytes
-        return values
 
     def write(self, store: DHTStore, key: Any, value: Any) -> None:
         """KV write into the current round's output store."""

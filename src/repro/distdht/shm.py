@@ -140,29 +140,43 @@ class SharedMemoryBackingStore(BackingStore):
     # -- BackingStore -----------------------------------------------------
 
     def put(self, key: bytes, record: bytes) -> None:
+        self.put_many(((key, record),))
+
+    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
+        """Append every record under one lock acquisition."""
         with self._lock:
             if self._closed:
                 raise ValueError("shared-memory store is closed")
-            seg_index, offset = self._reserve(len(record))
-            self._segments[seg_index].buf[offset:offset + len(record)] = record
-            replaced = self._index.get(key)
-            if replaced is not None:
-                self._dead_bytes += replaced[2]
-                self._live_bytes -= replaced[2]
-            self._index[key] = (seg_index, offset, len(record))
-            self._live_bytes += len(record)
-
-    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
-        for key, record in items:
-            self.put(key, record)
+            index = self._index
+            for key, record in items:
+                length = len(record)
+                seg_index, offset = self._reserve(length)
+                self._segments[seg_index].buf[offset:offset + length] = record
+                replaced = index.get(key)
+                if replaced is not None:
+                    self._dead_bytes += replaced[2]
+                    self._live_bytes -= replaced[2]
+                index[key] = (seg_index, offset, length)
+                self._live_bytes += length
 
     def get(self, key: bytes) -> Optional[bytes]:
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Copy every record out under one lock acquisition."""
         with self._lock:
-            location = self._index.get(key)
-            if location is None:
-                return None
-            seg_index, offset, length = location
-            return bytes(self._segments[seg_index].buf[offset:offset + length])
+            lookup = self._index.get
+            views = [segment.buf for segment in self._segments]
+            records: List[Optional[bytes]] = []
+            append = records.append
+            for key in keys:
+                location = lookup(key)
+                if location is None:
+                    append(None)
+                else:
+                    seg_index, offset, length = location
+                    append(bytes(views[seg_index][offset:offset + length]))
+            return records
 
     def contains(self, key: bytes) -> bool:
         with self._lock:

@@ -6,12 +6,12 @@ at the adapter boundary**: the same ``shard_of`` placement, the same
 write-time :func:`~repro.ampc.cost_model.estimate_bytes` charge, the same
 per-shard ``shard_reads`` counters, the same strict-round checks, and the
 same partial-commit semantics when a bulk write fails mid-batch.  Only
-the physical storage differs — values are pickled into records (see
-:mod:`repro.distdht.backing`) and live in shared memory or on DHT nodes
-instead of an in-process dict.  A run on a backed store therefore reports
-**byte-identical simulated metrics** to the same run on a simulated
-store; the golden-metrics suite is parametrized over backends to prove
-it.
+the physical storage differs — values are encoded into fixed-width or
+tagged records (see :mod:`repro.distdht.backing`) and live in shared
+memory or on DHT nodes instead of an in-process dict.  A run on a backed
+store therefore reports **byte-identical simulated metrics** to the same
+run on a simulated store; the golden-metrics suite is parametrized over
+backends to prove it.
 
 Each store claims a unique byte-key *namespace* inside its backing store
 (pid + counter, so any number of worker processes can share one socket
@@ -20,9 +20,13 @@ namespace when the store object is garbage-collected — cache eviction in
 the Session automatically frees the backing-store records it addressed.
 
 The one observable difference from the simulated store: values round-trip
-through pickle, so a lookup returns a *copy* of the written object rather
-than the object itself.  Sealed-store discipline (write, seal, then read)
-makes that invisible to well-behaved specs — the conformance suite
+through the record codec, so a lookup returns a *copy* of the written
+object rather than the object itself.  A batched read
+(:meth:`BackedDHTStore.lookup_block`) fetches every hit in one
+``get_many`` per namespace and hands the sweeps a
+:class:`~repro.distdht.backing.RecordBlock`, whose columns come straight
+out of the records' words.  Sealed-store discipline (write, seal, then
+read) makes that invisible to well-behaved specs — the conformance suite
 verifies every registered spec is one.
 """
 
@@ -31,14 +35,20 @@ from __future__ import annotations
 import itertools
 import os
 import weakref
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ampc.cost_model import estimate_bytes
-from repro.ampc.dht import DerivedDHTStore, DHTStore, StoreSealedError
+from repro.ampc.dht import (_VECTOR_ROUTING_MIN_KEYS, DerivedDHTStore,
+                            DHTStore, StoreSealedError)
 from repro.distdht.backing import (
     TOMBSTONE,
     BackingStore,
+    RecordBlock,
     decode_record,
+    encode_columnar,
+    encode_int_keys,
     encode_key,
     encode_record,
 )
@@ -68,7 +78,7 @@ class BackedDHTStore(DHTStore):
 
     The per-shard ``_sizes`` index (write-time estimated sizes) stays in
     the owning process — it *is* the accounting state and is what the
-    simulated store keeps too — while the pickled values go to the
+    simulated store keeps too — while the encoded values go to the
     backing.  Each record also embeds its recorded size, so a record
     fetched by locator in another process carries its own charge.
     """
@@ -161,82 +171,125 @@ class BackedDHTStore(DHTStore):
 
     write_all = write_many
 
+    def write_columnar(self, records) -> int:
+        """Accounting-identical to ``write_many(records.items())``, but
+        the records are encoded in one numpy pass
+        (:func:`~repro.distdht.backing.encode_columnar`) and sent as one
+        ``put_many`` — no value is boxed."""
+        if self.sealed:
+            raise StoreSealedError(f"store {self.name!r} is sealed")
+        encoded = encode_columnar(records)
+        if encoded is None:
+            return self.write_many(records.items())
+        key_list = records.keys.tolist()
+        size_shards = self._sizes
+        total = 0
+        entries_added = 0
+        bytes_delta = 0
+        for key, value_bytes, shard_index in zip(
+                key_list, records.value_size_list(),
+                records.shard_ids(self.num_shards).tolist()):
+            sizes = size_shards[shard_index]
+            replaced = sizes.get(key)
+            if replaced is None:
+                entries_added += 1
+                bytes_delta += value_bytes
+            else:
+                bytes_delta += value_bytes - replaced
+            sizes[key] = value_bytes
+            total += value_bytes
+        self.total_entries += entries_added
+        self.total_value_bytes += bytes_delta
+        self._backing.put_many(
+            list(zip(encode_int_keys(self._ns, records.keys), encoded)))
+        return total
+
     # -- reads (charging identical to DHTStore) ---------------------------
 
-    def _fetch_value(self, key: Any) -> Any:
+    def _vanished(self, key: Any) -> KeyError:
+        return KeyError(
+            f"store {self.name!r}: record for {key!r} vanished from the "
+            f"{self._backing.kind} backing store")
+
+    def _fetch_value(self, key: Any, size: int) -> Any:
         record = self._backing.get(self._key_bytes(key))
         if record is None:
-            raise KeyError(
-                f"store {self.name!r}: record for {key!r} vanished from "
-                f"the {self._backing.kind} backing store")
+            raise self._vanished(key)
         entry = decode_record(record)
-        assert entry is not None, "live index entry points at a tombstone"
+        if entry is None or entry[1] != size:
+            raise ValueError(
+                f"store {self.name!r}: record for {key!r} does not match "
+                f"its size index entry ({size})")
         return entry[0]
 
     def lookup(self, key: Any) -> Any:
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
-        shard_index = self.shard_of(key)
-        self.shard_reads[shard_index] += 1
-        if key not in self._sizes[shard_index]:
-            return None
-        return self._fetch_value(key)
+        return self.lookup_with_size(key)[0]
 
     def lookup_with_size(self, key: Any) -> Tuple[Any, int]:
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
+        self._check_readable()
         shard_index = self.shard_of(key)
         self.shard_reads[shard_index] += 1
         size = self._sizes[shard_index].get(key)
         if size is None:
             return None, 0
-        return self._fetch_value(key), size
+        return self._fetch_value(key, size), size
 
     def lookup_many(self, keys: Iterable[Any]) -> Tuple[List[Any], int]:
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
-        shard_of = self.shard_of
-        size_shards = self._sizes
-        shard_reads = self.shard_reads
-        # First pass: routing + read/byte accounting, exactly the
-        # simulated store's loop; hits are fetched in one batched round
-        # trip afterwards (the accounting never sees the difference).
-        order: List[Any] = []
-        hits: List[int] = []
-        total = 0
-        for key in keys:
-            shard_index = shard_of(key)
-            shard_reads[shard_index] += 1
-            size = size_shards[shard_index].get(key)
-            if size is None:
-                order.append(None)
+        block, total = self.lookup_block(
+            keys if isinstance(keys, (list, tuple)) else list(keys))
+        return block.values(), total
+
+    def lookup_block(self, keys) -> Tuple[RecordBlock, int]:
+        """The batch's hits in one ``get_many`` per namespace, as a
+        :class:`~repro.distdht.backing.RecordBlock` (decoded only when
+        asked); reads, bytes and ``shard_reads`` as in ``lookup_many``."""
+        self._check_readable()
+        column = None
+        shards = (self._route_batch(keys)
+                  if len(keys) >= _VECTOR_ROUTING_MIN_KEYS else None)
+        if shards is None:
+            shard_of = self.shard_of
+            shard_reads = self.shard_reads
+            shards = []
+            for key in keys:
+                shard_index = shard_of(key)
+                shard_reads[shard_index] += 1
+                shards.append(shard_index)
+        else:
+            column = np.asarray(keys, dtype=np.int64)
+        hits, sizes, groups = self._resolve(keys, shards)
+        records: List[Any] = [None] * len(hits)
+        for owner, indices in groups:
+            positions = [hits[index] for index in indices]
+            if column is not None:
+                key_bytes = encode_int_keys(owner._ns, column[positions])
             else:
-                hits.append(len(order))
-                order.append(key)
-                total += size
-        if hits:
-            records = self._backing.get_many(
-                [self._key_bytes(order[index]) for index in hits])
-            for index, record in zip(hits, records):
-                if record is None:
-                    raise KeyError(
-                        f"store {self.name!r}: record for {order[index]!r} "
-                        f"vanished from the {self._backing.kind} backing "
-                        "store")
-                order[index] = decode_record(record)[0]
-        return order, total
+                key_bytes = [owner._key_bytes(keys[position])
+                             for position in positions]
+            fetched = self._backing.get_many(key_bytes)
+            if None in fetched:
+                raise owner._vanished(keys[positions[fetched.index(None)]])
+            if len(groups) == 1:
+                records = fetched
+            else:
+                for index, record in zip(indices, fetched):
+                    records[index] = record
+        return RecordBlock(len(keys), hits, records, sizes), sum(sizes)
+
+    def _resolve(self, keys, shards):
+        """-> (positions of the hits, their recorded sizes, and for each
+        store of the chain holding some of them: (store, indices into
+        the hits))."""
+        size_shards = self._sizes
+        found = [size_shards[shard_index].get(key)
+                 for key, shard_index in zip(keys, shards)]
+        hits = [index for index, size in enumerate(found)
+                if size is not None]
+        groups = [(self, range(len(hits)))] if hits else []
+        return hits, [found[index] for index in hits], groups
 
     def contains(self, key: Any) -> bool:
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
+        self._check_readable()
         shard_index = self.shard_of(key)
         self.shard_reads[shard_index] += 1
         return key in self._sizes[shard_index]
@@ -244,10 +297,17 @@ class BackedDHTStore(DHTStore):
     # -- derivation / folding ---------------------------------------------
 
     def _entry(self, key: Any, shard_index: int) -> Optional[Tuple[Any, int]]:
-        size = self._sizes[shard_index].get(key)
-        if size is None:
+        found = self._owner(key, shard_index)
+        if found is None:
             return None
-        return self._fetch_value(key), size
+        owner, size = found
+        return owner._fetch_value(key, size), size
+
+    def _owner(self, key: Any, shard_index: int):
+        """-> (the store in the chain holding ``key``, its recorded
+        size), or None."""
+        size = self._sizes[shard_index].get(key)
+        return None if size is None else (self, size)
 
     def _spawn_sibling(self, name: str) -> "BackedDHTStore":
         return BackedDHTStore(name, self.num_shards, backing=self._backing,
@@ -311,22 +371,43 @@ class BackedDerivedDHTStore(DerivedDHTStore):
 
     backing = BackedDHTStore.backing
     _key_bytes = BackedDHTStore._key_bytes
+    _vanished = BackedDHTStore._vanished
     _fetch_value = BackedDHTStore._fetch_value
+    lookup_many = BackedDHTStore.lookup_many
+    lookup_block = BackedDHTStore.lookup_block
     _spawn_sibling = BackedDHTStore._spawn_sibling
     _install = BackedDHTStore._install
     cache_resident_bytes = BackedDHTStore.cache_resident_bytes
     release = BackedDHTStore.release
     repair = BackedDHTStore.repair
 
-    # -- resolution (reads are inherited: they go through _entry) ---------
+    # -- resolution (single-key reads are inherited: they go through
+    # _entry; batched ones through _resolve) -------------------------------
 
-    def _entry(self, key: Any, shard_index: int) -> Optional[Tuple[Any, int]]:
+    _entry = BackedDHTStore._entry
+
+    def _owner(self, key: Any, shard_index: int):
         if key in self._deleted[shard_index]:
             return None
         size = self._sizes[shard_index].get(key)
         if size is not None:
-            return self._fetch_value(key), size
-        return self.parent._entry(key, shard_index)
+            return self, size
+        return self.parent._owner(key, shard_index)
+
+    def _resolve(self, keys, shards):
+        """Overlay and tombstones resolved locally, generation by
+        generation; the records are then fetched per owning namespace."""
+        hits: List[int] = []
+        sizes: List[int] = []
+        groups: Dict[Any, List[int]] = {}
+        owner_of = self._owner
+        for position, (key, shard_index) in enumerate(zip(keys, shards)):
+            found = owner_of(key, shard_index)
+            if found is not None:
+                groups.setdefault(found[0], []).append(len(hits))
+                hits.append(position)
+                sizes.append(found[1])
+        return hits, sizes, list(groups.items())
 
     # -- writes (accounting identical to DerivedDHTStore) -----------------
 
@@ -346,12 +427,12 @@ class BackedDerivedDHTStore(DerivedDHTStore):
                 self.total_entries += 1
                 self.total_value_bytes += value_bytes
             else:
-                shadowed = self.parent._entry(key, shard_index)
+                shadowed = self.parent._entry_size(key, shard_index)
                 if shadowed is None:
                     self.total_entries += 1
                     self.total_value_bytes += value_bytes
                 else:
-                    self.total_value_bytes += value_bytes - shadowed[1]
+                    self.total_value_bytes += value_bytes - shadowed
         self._backing.put(self._key_bytes(key),
                           encode_record(value, value_bytes))
         sizes[key] = value_bytes
@@ -373,7 +454,7 @@ class BackedDerivedDHTStore(DerivedDHTStore):
         if removed is not None:
             self.total_entries -= 1
             self.total_value_bytes -= removed
-            if self.parent._entry(key, shard_index) is not None:
+            if self.parent._entry_size(key, shard_index) is not None:
                 self._deleted[shard_index].add(key)
                 self._backing.put(self._key_bytes(key), TOMBSTONE)
             else:
@@ -381,13 +462,13 @@ class BackedDerivedDHTStore(DerivedDHTStore):
             return True
         if key in self._deleted[shard_index]:
             return False
-        shadowed = self.parent._entry(key, shard_index)
+        shadowed = self.parent._entry_size(key, shard_index)
         if shadowed is None:
             return False
         self._deleted[shard_index].add(key)
         self._backing.put(self._key_bytes(key), TOMBSTONE)
         self.total_entries -= 1
-        self.total_value_bytes -= shadowed[1]
+        self.total_value_bytes -= shadowed
         return True
 
     # -- introspection ----------------------------------------------------

@@ -162,17 +162,23 @@ class TestSpecConformance:
 @pytest.mark.parametrize("name", ["mis", "matching", "msf"])
 def test_core_algorithms_exercise_batched_kv_ops(name, monkeypatch):
     """The flagship algorithms must run on the batched KV API end to end
-    (lookup_many and/or a whole-batch write), not just compile against
-    it.  The prepare stage's KV write counts whether it flows through
-    ``MachineContext.write_many`` or the columnar batch write."""
+    (lookup_many / lookup_block and/or a whole-batch write), not just
+    compile against it.  The prepare stage's KV write counts whether it
+    flows through ``MachineContext.write_many`` or the columnar batch
+    write."""
     calls = {"lookup_many": 0, "write_many": 0}
     original_lookup_many = MachineContext.lookup_many
+    original_lookup_block = MachineContext.lookup_block
     original_write_many = MachineContext.write_many
     original_write_columnar = DHTStore.write_columnar
 
     def spy_lookup_many(self, store, keys):
         calls["lookup_many"] += 1
         return original_lookup_many(self, store, keys)
+
+    def spy_lookup_block(self, store, keys):
+        calls["lookup_many"] += 1
+        return original_lookup_block(self, store, keys)
 
     def spy_write_many(self, store, items):
         calls["write_many"] += 1
@@ -183,6 +189,7 @@ def test_core_algorithms_exercise_batched_kv_ops(name, monkeypatch):
         return original_write_columnar(self, records)
 
     monkeypatch.setattr(MachineContext, "lookup_many", spy_lookup_many)
+    monkeypatch.setattr(MachineContext, "lookup_block", spy_lookup_block)
     monkeypatch.setattr(MachineContext, "write_many", spy_write_many)
     monkeypatch.setattr(DHTStore, "write_columnar", spy_write_columnar)
     spec = registry.get(name)

@@ -16,7 +16,6 @@ query budget.
 import contextlib
 import copy
 import dataclasses
-import pickle
 from collections import Counter
 
 import pytest
@@ -30,7 +29,7 @@ from repro.core import matching as matching_module
 from repro.core import mis as mis_module
 from repro.core import msf as msf_module
 from repro.dataflow.dofn import MachineContext
-from repro.distdht.backing import InMemoryBackingStore
+from repro.distdht.backing import InMemoryBackingStore, decode_key
 from repro.graph.graph import Graph, WeightedGraph
 from repro.sequential.mst import kruskal_msf
 from repro.sequential.validate import (is_maximal_independent_set,
@@ -301,15 +300,16 @@ def counted_walks(store):
     ``store``, and the root of every per-element MIS or matching search
     that actually runs (a sweep runs none)."""
     reads, searches = [], []
-    lookup_many = MachineContext.lookup_many
     walkers = [(mis_module._IsInMIS, "_resolve"),
                (matching_module._IsInMM, "_vertex_search")]
     saved = [getattr(cls, name) for cls, name in walkers]
 
-    def counting_reads(self, target, keys):
-        if target is store:
-            reads.append(list(keys))
-        return lookup_many(self, target, keys)
+    def counting_reads(read):
+        def counted(self, target, keys):
+            if target is store:
+                reads.append(list(keys))
+            return read(self, target, keys)
+        return counted
 
     def counting(search):
         def counted(self, root, *args):
@@ -317,15 +317,29 @@ def counted_walks(store):
             return search(self, root, *args)
         return counted
 
-    MachineContext.lookup_many = counting_reads
-    for (cls, name), search in zip(walkers, saved):
-        setattr(cls, name, counting(search))
-    try:
-        yield reads, searches
-    finally:
-        MachineContext.lookup_many = lookup_many
+    with counted_batches(counting_reads):
         for (cls, name), search in zip(walkers, saved):
-            setattr(cls, name, search)
+            setattr(cls, name, counting(search))
+        try:
+            yield reads, searches
+        finally:
+            for (cls, name), search in zip(walkers, saved):
+                setattr(cls, name, search)
+
+
+@contextlib.contextmanager
+def counted_batches(wrap):
+    """Both batched reads of ``MachineContext`` — ``lookup_many`` and
+    ``lookup_block`` — wrapped by ``wrap(original)`` for the duration."""
+    originals = {name: getattr(MachineContext, name)
+                 for name in ("lookup_many", "lookup_block")}
+    for name, read in originals.items():
+        setattr(MachineContext, name, wrap(read))
+    try:
+        yield
+    finally:
+        for name, read in originals.items():
+            setattr(MachineContext, name, read)
 
 
 @pytest.mark.parametrize("algorithm", ["mis", "matching", "msf"])
@@ -423,9 +437,9 @@ class CountingBacking(InMemoryBackingStore):
 
     @staticmethod
     def _logical(key: bytes):
-        # namespace "s<pid>.<n>|<store name>|" + pickled key
-        _, name, pickled = key.split(b"|", 2)
-        return name, pickle.loads(pickled)
+        # namespace "s<pid>.<n>|<store name>|" + encoded key
+        _, name, encoded = key.split(b"|", 2)
+        return name, decode_key(encoded)
 
     def get(self, key):
         self.gets += 1
@@ -446,17 +460,15 @@ def _query_traffic(algorithm, graph, config):
     prepared = spec.prepare(graph, runtime=runtime, seed=3)
     backing.reset()
     sweeps = []
-    lookup_many = MachineContext.lookup_many
 
-    def counting(self, store, keys):
-        sweeps.append(len(keys))
-        return lookup_many(self, store, keys)
+    def counting(read):
+        def counted(self, store, keys):
+            sweeps.append(len(keys))
+            return read(self, store, keys)
+        return counted
 
-    MachineContext.lookup_many = counting
-    try:
+    with counted_batches(counting):
         spec.run(graph, runtime=runtime, seed=3, prepared=prepared)
-    finally:
-        MachineContext.lookup_many = lookup_many
     return backing, sweeps
 
 
