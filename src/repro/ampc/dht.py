@@ -10,11 +10,23 @@ Each store is sharded across the cluster's machines by key hash;
 per-shard read counts are tracked so that contention (the hot-key concern
 of Section 2, "Caching and Query Contention") is observable in tests and
 benchmarks.
+
+How an entry is *accounted* is decided here, once, whatever holds the
+values: :class:`DHTStore` (a flat store) and :class:`DerivedDHTStore` (a
+copy-on-write overlay) own placement, the write-time size index, the
+totals, ``shard_reads``, the strict-round check, partial commits, overlay
+deltas, tombstones, ``derive``, ``folded`` and ``keys``.  The values live
+in the store's *lane*, which works a batch at a time: :class:`SimLane`
+holds them by reference in per-shard dicts, and
+:class:`~repro.distdht.store.BackedLane` keeps them as records in a
+:class:`~repro.distdht.backing.BackingStore`.  A store commits the
+accounting of a write only once its lane has stored the values, so a
+failed put leaves nothing charged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +63,102 @@ def next_delta_name(name: str) -> str:
     return f"{name}+delta"
 
 
+def vertex_column(keys) -> Optional[np.ndarray]:
+    """A large batch of vertex-id keys as an int64 column, else None.
+
+    What the vectorised paths take: at least
+    ``_VECTOR_ROUTING_MIN_KEYS`` keys, every one a non-negative int that
+    fits int64 (anything else is routed key by key).
+    """
+    if len(keys) < _VECTOR_ROUTING_MIN_KEYS \
+            or not set(map(type, keys)) <= {int}:
+        return None
+    try:
+        column = np.asarray(keys, dtype=np.int64)
+    except OverflowError:  # beyond int64: the scalar hash copes
+        return None
+    return column if column.min() >= 0 else None
+
+
+class _GatheredBlock(ValueBlock):
+    """A batch read whose values are gathered when first asked for.
+
+    Charging a read needs only the resolved sizes; matching's walk never
+    looks at the values, so the sim lane does not fetch them for it.
+    """
+
+    __slots__ = ("_gather",)
+
+    def __init__(self, gather: Callable[[], List[Any]]):
+        super().__init__(None)
+        self._gather = gather
+
+    def values(self) -> List[Any]:
+        if self._values is None:
+            self._values = self._gather()
+        return self._values
+
+
+class SimLane:
+    """The simulator's lane: values by reference, one dict per shard.
+
+    The lane protocol a store drives, a batch at a time — the store has
+    already placed every key (``shards``) and sized every value:
+
+    * ``put_many`` / ``put_columnar`` store values — a put that raises
+      has stored none;
+    * ``get`` and ``block`` return the values of resolved keys — ``found``
+      holds each key's recorded size (None: a miss) and ``owners`` each
+      key's owning lane in a derived chain (None: every hit is this
+      lane's);
+    * ``delete`` drops an entry of this generation, ``tombstone``
+      shadows a parent's; ``child`` opens the lane of a derived
+      generation; ``resident_bytes`` sizes the store for the cache.
+    """
+
+    backing = None
+
+    def __init__(self, num_shards: int):
+        self._values: List[Dict[Any, Any]] = [
+            dict() for _ in range(num_shards)]
+
+    def child(self, name: str) -> "SimLane":
+        return SimLane(len(self._values))
+
+    def put_many(self, keys, shards, values, sizes) -> None:
+        value_shards = self._values
+        for key, shard_index, value in zip(keys, shards, values):
+            value_shards[shard_index][key] = value
+
+    def put_columnar(self, records, keys, shards, sizes) -> None:
+        value_shards = self._values
+        for (key, value), shard_index in zip(records.items(), shards):
+            value_shards[shard_index][key] = value
+
+    def get(self, key: Any, shard_index: int, size: int) -> Any:
+        return self._values[shard_index][key]
+
+    def block(self, keys, shards, found, owners) -> ValueBlock:
+        if owners is None:
+            value_shards = self._values
+            return _GatheredBlock(lambda: [
+                value_shards[shard_index].get(key)
+                for key, shard_index in zip(keys, shards)])
+        return _GatheredBlock(lambda: [
+            None if lane is None else lane._values[shard_index][key]
+            for key, shard_index, lane in zip(keys, shards, owners)])
+
+    def delete(self, key: Any, shard_index: int) -> None:
+        self._values[shard_index].pop(key, None)
+
+    #: the overlay's tombstone set already hides the parent entry
+    tombstone = delete
+
+    @staticmethod
+    def resident_bytes(entries: int, value_bytes: int) -> int:
+        return value_bytes + 8 * entries
+
+
 class DHTStore:
     """One distributed hash table D_i, sharded over the cluster machines."""
 
@@ -65,14 +173,22 @@ class DHTStore:
         #: processes revisit hot keys many times per stage — one dict get
         #: beats re-running splitmix64 on every touch
         self._shard_memo: Dict[Any, int] = {}
-        self._shards: List[Dict[Any, Any]] = [dict() for _ in range(num_shards)]
-        #: serialized size of each live entry, recorded at write time so
-        #: reads never re-walk values (and overwrites can refund exactly)
+        #: serialized size of each entry this generation holds, recorded
+        #: at write time so reads never re-walk values (and overwrites can
+        #: refund exactly) — the store's index, whatever lane holds values
         self._sizes: List[Dict[Any, int]] = [dict() for _ in range(num_shards)]
         #: reads served per shard (contention accounting)
         self.shard_reads: List[int] = [0] * num_shards
         self.total_entries = 0
         self.total_value_bytes = 0
+        #: where the values physically live (backed stores swap theirs in)
+        self._lane = SimLane(num_shards)
+
+    @property
+    def backing(self):
+        """The :class:`~repro.distdht.backing.BackingStore` holding this
+        store's values, or None on the simulator."""
+        return self._lane.backing
 
     def shard_of(self, key: Any) -> int:
         # Stable across interpreter runs: placement (and therefore shard
@@ -94,6 +210,10 @@ class DHTStore:
 
     # -- writes --------------------------------------------------------
 
+    def _check_writable(self) -> None:
+        if self.sealed:
+            raise StoreSealedError(f"store {self.name!r} is sealed")
+
     def write(self, key: Any, value: Any) -> int:
         """Store a key-value pair; returns the serialized value size.
 
@@ -102,101 +222,77 @@ class DHTStore:
         recorded size is refunded, so ``total_value_bytes`` always equals
         the live entries' sizes.
         """
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
-        shard_index = self.shard_of(key)
-        sizes = self._sizes[shard_index]
-        value_bytes = estimate_bytes(value)
-        replaced = sizes.get(key)
-        if replaced is None:
-            self.total_entries += 1
-            self.total_value_bytes += value_bytes
-        else:
-            self.total_value_bytes += value_bytes - replaced
-        self._shards[shard_index][key] = value
-        sizes[key] = value_bytes
-        return value_bytes
+        return self.write_many(((key, value),))
 
     def write_many(self, items: Iterable[Tuple[Any, Any]]) -> int:
-        """Bulk :meth:`write`: one pass, aggregate accounting.
+        """Bulk :meth:`write`; returns the total serialized value size.
 
-        Returns the total serialized size of the written values — exactly
-        ``sum(write(k, v) for k, v in items)``, computed without the
-        per-item method dispatch.
+        Each value is sized before anything of its item is kept: an
+        inestimable value stops the batch there, and the completed prefix
+        is still committed — exactly the state a :meth:`write` sequence
+        failing on the same item leaves.
         """
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
+        self._check_writable()
         shard_of = self.shard_of
-        shards = self._shards
-        size_shards = self._sizes
-        total = 0
-        entries_added = 0
-        bytes_delta = 0
+        keys: List[Any] = []
+        shards: List[int] = []
+        values: List[Any] = []
+        sizes: List[int] = []
         try:
             for key, value in items:
-                # Size first: an inestimable value raises before this
-                # item mutates anything, and the finally block commits
-                # the completed items' accounting — exactly the state a
-                # write() sequence failing on the same item leaves.
                 value_bytes = estimate_bytes(value)
-                shard_index = shard_of(key)
-                sizes = size_shards[shard_index]
-                replaced = sizes.get(key)
-                if replaced is None:
-                    entries_added += 1
-                    bytes_delta += value_bytes
-                else:
-                    bytes_delta += value_bytes - replaced
-                shards[shard_index][key] = value
-                sizes[key] = value_bytes
-                total += value_bytes
+                shards.append(shard_of(key))
+                keys.append(key)
+                values.append(value)
+                sizes.append(value_bytes)
         finally:
-            self.total_entries += entries_added
-            self.total_value_bytes += bytes_delta
-        return total
+            if keys:
+                self._commit(keys, shards, values, sizes)
+        return sum(sizes)
 
     def write_columnar(self, records) -> int:
         """Batch write of a :class:`~repro.ampc.columnar.ColumnarRecords`.
 
         Accounting-identical to ``write_many(records.items())`` — same
-        shard placement, same write-time size memo, same totals, same
+        shard placement, same write-time size index, same totals, same
         per-shard insertion order — but the sizes and shard ids arrive as
-        precomputed columns (one vectorized pass each), so only the dict
-        inserts remain per-record.  Derived overlays fall back to their
-        own ``write_many``; backed stores override this.
+        precomputed columns (one vectorized pass each), and the lane takes
+        the batch whole: the sim lane boxes it, a backed lane encodes it
+        in one numpy pass.
         """
-        if type(self) is not DHTStore:
-            return self.write_many(records.items())
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
-        shard_list = records.shard_ids(self.num_shards).tolist()
-        size_list = records.value_size_list()
+        self._check_writable()
+        keys = records.keys.tolist()
+        shards = records.shard_ids(self.num_shards).tolist()
+        sizes = records.value_size_list()
+        self._lane.put_columnar(records, keys, shards, sizes)
         # seed the placement memo in bulk: readers of these keys skip the
         # splitmix fallback entirely
-        self._shard_memo.update(zip(records.keys.tolist(), shard_list))
-        shards = self._shards
+        self._shard_memo.update(zip(keys, shards))
+        self._account(keys, shards, sizes)
+        return sum(sizes)
+
+    def _commit(self, keys, shards, values, sizes) -> None:
+        """Store a sized batch in the lane, then account for it — a put
+        that raises leaves the accounting untouched."""
+        self._lane.put_many(keys, shards, values, sizes)
+        self._account(keys, shards, sizes)
+
+    def _account(self, keys, shards, sizes) -> None:
+        """Index the sizes of a batch the lane has stored; totals follow."""
         size_shards = self._sizes
-        total = 0
         entries_added = 0
         bytes_delta = 0
-        for (key, value), value_bytes, shard_index in zip(
-                records.items(), size_list, shard_list):
-            sizes = size_shards[shard_index]
-            replaced = sizes.get(key)
+        for key, shard_index, value_bytes in zip(keys, shards, sizes):
+            index = size_shards[shard_index]
+            replaced = index.get(key)
+            index[key] = value_bytes
             if replaced is None:
                 entries_added += 1
                 bytes_delta += value_bytes
             else:
                 bytes_delta += value_bytes - replaced
-            shards[shard_index][key] = value
-            sizes[key] = value_bytes
-            total += value_bytes
         self.total_entries += entries_added
         self.total_value_bytes += bytes_delta
-        return total
-
-    #: backwards-compatible alias for :meth:`write_many`
-    write_all = write_many
 
     def seal(self) -> None:
         """Freeze the store: subsequent writes raise."""
@@ -212,13 +308,7 @@ class DHTStore:
 
     def lookup(self, key: Any) -> Any:
         """Read one key; returns None for missing keys (get semantics)."""
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
-        shard_index = self.shard_of(key)
-        self.shard_reads[shard_index] += 1
-        return self._shards[shard_index].get(key)
+        return self.lookup_with_size(key)[0]
 
     def lookup_with_size(self, key: Any) -> Tuple[Any, int]:
         """:meth:`lookup` plus the entry's recorded serialized size.
@@ -227,19 +317,17 @@ class DHTStore:
         callers charging read bytes need not re-walk the value; missing
         keys report ``(None, 0)`` (what ``estimate_bytes(None)`` charges).
         """
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
+        self._check_readable()
         shard_index = self.shard_of(key)
         self.shard_reads[shard_index] += 1
-        size = self._sizes[shard_index].get(key)
-        if size is None:
+        found = self._owner(key, shard_index)
+        if found is None:
             return None, 0
-        return self._shards[shard_index][key], size
+        lane, size = found
+        return lane.get(key, shard_index, size), size
 
     def lookup_many(self, keys: Iterable[Any]) -> Tuple[List[Any], int]:
-        """Bulk read: shard routing and read accounting in one pass.
+        """Bulk read: shard routing and read accounting batch-at-a-time.
 
         Returns the values in key order (None for misses) plus the total
         recorded size of the hit values — the aggregate a
@@ -247,70 +335,43 @@ class DHTStore:
         bytes.  Per-shard read counts advance exactly as the equivalent
         :meth:`lookup` sequence would.
         """
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
-        shards = self._shards
-        size_shards = self._sizes
-        values: List[Any] = []
-        append = values.append
-        total = 0
-        routed = (self._route_batch(keys)
-                  if type(keys) is list
-                  and len(keys) >= _VECTOR_ROUTING_MIN_KEYS else None)
-        if routed is None:
-            shard_of = self.shard_of
-            shard_reads = self.shard_reads
-            for key in keys:
-                shard_index = shard_of(key)
-                shard_reads[shard_index] += 1
-                size = size_shards[shard_index].get(key)
-                if size is None:
-                    append(None)
-                else:
-                    append(shards[shard_index][key])
-                    total += size
-        else:
-            for key, shard_index in zip(keys, routed):
-                size = size_shards[shard_index].get(key)
-                if size is None:
-                    append(None)
-                else:
-                    append(shards[shard_index][key])
-                    total += size
-        return values, total
+        block, total = self.lookup_block(
+            keys if isinstance(keys, (list, tuple)) else list(keys))
+        return block.values(), total
 
-    def lookup_block(self, keys: List[Any]) -> Tuple[ValueBlock, int]:
+    def lookup_block(self, keys) -> Tuple[ValueBlock, int]:
         """:meth:`lookup_many` as a block the sweeps read columns from.
 
         Same reads, same ``shard_reads``, same byte total; the block's
         ``values()`` is the ``lookup_many`` list and ``columns(dtypes)``
-        its :func:`~repro.ampc.columnar.unbox_rows`.  Backed stores
-        override this to answer from their records without boxing.
+        its :func:`~repro.ampc.columnar.unbox_rows`.  The lane builds the
+        block: the sim lane gathers values only when asked, a backed lane
+        fetches one batch per owning generation and answers columns
+        straight from the records.
         """
-        values, total = self.lookup_many(keys)
-        return ValueBlock(values), total
+        self._check_readable()
+        shards = self._route_batch(keys)
+        found, owners = self._resolve(keys, shards)
+        return (self._lane.block(keys, shards, found, owners),
+                sum(filter(None, found)))
 
-    def _route_batch(self, keys: List[Any]) -> Optional[List[int]]:
-        """Shard of each key of a large batch, reads counted — or None.
+    def _route_batch(self, keys) -> List[int]:
+        """Shard of each key of a batch, one read charged to each.
 
-        A batch of vertex-id keys (what a frontier sweep reads) is routed
-        by one vectorised placement hash and one histogram instead of a
-        memo probe and a counter bump per key: same shards, same
-        ``shard_reads``.  Anything else is left to the caller's per-key
-        loop (None).
+        A large batch of vertex-id keys (what a frontier sweep reads) is
+        routed by one vectorised placement hash and one histogram instead
+        of a memo probe and a counter bump per key: same shards, same
+        ``shard_reads``.
         """
-        if not set(map(type, keys)) <= {int}:
-            return None
-        try:
-            column = np.asarray(keys, dtype=np.int64)
-        except OverflowError:  # beyond int64: the scalar hash copes
-            return None
-        if column.min() < 0:
-            return None
-        shard_ids = placement_ids(column, self.num_shards)
         shard_reads = self.shard_reads
+        column = vertex_column(keys)
+        if column is None:
+            shard_of = self.shard_of
+            shards = [shard_of(key) for key in keys]
+            for shard_index in shards:
+                shard_reads[shard_index] += 1
+            return shards
+        shard_ids = placement_ids(column, self.num_shards)
         for shard_index, reads in enumerate(np.bincount(
                 shard_ids, minlength=self.num_shards).tolist()):
             shard_reads[shard_index] += reads
@@ -318,93 +379,88 @@ class DHTStore:
 
     def contains(self, key: Any) -> bool:
         """Membership probe; charged and round-checked like :meth:`lookup`."""
-        if self._strict_rounds and not self.sealed:
-            raise StoreSealedError(
-                f"store {self.name!r} is still being written this round"
-            )
+        self._check_readable()
         shard_index = self.shard_of(key)
         self.shard_reads[shard_index] += 1
-        return key in self._shards[shard_index]
+        return self._owner(key, shard_index) is not None
+
+    # -- resolution (internal, uncharged) ---------------------------------
+
+    def _owner(self, key: Any, shard_index: int):
+        """-> (the lane holding ``key``'s live entry, its recorded size),
+        or None.  Uncharged: a derived child resolves fall-through reads
+        with it, so reading through a child never perturbs this store's
+        ``shard_reads`` contention metrics."""
+        size = self._sizes[shard_index].get(key)
+        return None if size is None else (self._lane, size)
+
+    def _resolve(self, keys, shards):
+        """-> (each key's recorded size or None, each key's owning lane —
+        None here: every hit of a flat store is its own lane's)."""
+        size_shards = self._sizes
+        return [size_shards[shard_index].get(key)
+                for key, shard_index in zip(keys, shards)], None
 
     # -- derivation ------------------------------------------------------
-
-    def _entry(self, key: Any, shard_index: int) -> Optional[Tuple[Any, int]]:
-        """The live ``(value, recorded size)`` under ``key``, or None.
-
-        Internal, uncharged: derived children resolve fall-through reads
-        with it, so reading through a child never perturbs this store's
-        ``shard_reads`` contention metrics.
-        """
-        size = self._sizes[shard_index].get(key)
-        if size is None:
-            return None
-        return self._shards[shard_index][key], size
-
-    def _entry_size(self, key: Any, shard_index: int) -> Optional[int]:
-        """The recorded size of the live entry under ``key``, or None —
-        :meth:`_entry` without touching the value."""
-        return self._sizes[shard_index].get(key)
 
     def derive(self, name: Optional[str] = None) -> "DerivedDHTStore":
         """Unseal this sealed store into a copy-on-write child.
 
         The child reads fall through to this store; its writes and deletes
-        land in a private overlay, so patching a DHT-resident artifact can
-        never mutate an entry another cached artifact still serves.  Byte
-        and entry accounting on the child stays exact — overlay deltas are
-        applied to this store's write-time memoized sizes.  Only sealed
-        (immutable) stores can be derived, and deriving a child is itself
-        derivable, so repeated patch generations chain — each generation
-        under a distinct default name (see :func:`next_delta_name`).
+        land in a private overlay (a child lane of this store's lane), so
+        patching a DHT-resident artifact can never mutate an entry another
+        cached artifact still serves.  Byte and entry accounting on the
+        child stays exact — overlay deltas are applied to this store's
+        write-time memoized sizes.  Only sealed (immutable) stores can be
+        derived, and deriving a child is itself derivable, so repeated
+        patch generations chain — each generation under a distinct default
+        name (see :func:`next_delta_name`).
         """
         if not self.sealed:
             raise StoreSealedError(
                 f"store {self.name!r} must be sealed before it can be "
                 "derived (an unsealed parent could drift under the child)"
             )
-        return self._derived_class(name or next_delta_name(self.name), self)
+        return DerivedDHTStore(name or next_delta_name(self.name), self)
 
     def folded(self, name: Optional[str] = None) -> "DHTStore":
         """Flatten the logical view into a fresh, flat, sealed store.
 
         The result has no parent chain: identical logical content,
         identical recorded entry sizes (the write-time memoized sizes are
-        copied, not re-estimated), fresh ``shard_reads``.  The Session
-        cache uses this to fold old derivation generations once a lineage
-        outgrows its max-generations knob, releasing the parent stores.
+        copied, not re-estimated), fresh ``shard_reads``, and the same
+        kind of lane.  The Session cache uses this to fold old derivation
+        generations once a lineage outgrows its max-generations knob,
+        releasing the parent stores.
         """
         flat = self._spawn_sibling(name or self.name)
-        shard_of = self.shard_of
-        entry_of = self._entry
-        for key in self.keys():
-            value, size = entry_of(key, shard_of(key))
-            flat._install(key, value, size)
+        keys = self.keys()
+        if keys:
+            shard_of = self.shard_of
+            shards = [shard_of(key) for key in keys]
+            sizes, owners = self._resolve(keys, shards)
+            values = self._lane.block(keys, shards, sizes, owners).values()
+            flat._commit(keys, shards, values, sizes)
         flat.seal()
         return flat
 
     def _spawn_sibling(self, name: str) -> "DHTStore":
-        """An empty unsealed store with this store's shape and storage."""
+        """An empty unsealed flat store with this store's shape and lane
+        kind."""
         return DHTStore(name, self.num_shards,
                         strict_rounds=self._strict_rounds)
 
-    def _install(self, key: Any, value: Any, size: int) -> None:
-        """Raw insert with a pre-recorded size (folding only; uncharged)."""
-        shard_index = self.shard_of(key)
-        self._shards[shard_index][key] = value
-        self._sizes[shard_index][key] = size
-        self.total_entries += 1
-        self.total_value_bytes += size
-
     def cache_resident_bytes(self) -> int:
         """What this store costs the local process (Session cache sizing)."""
-        return self.total_value_bytes + 8 * self.total_entries
+        return self._lane.resident_bytes(self.total_entries,
+                                         self.total_value_bytes)
 
     # -- introspection (driver-side; free of charge) ---------------------
 
     def keys(self) -> List[Any]:
-        result = []
-        for shard in self._shards:
-            result.extend(shard.keys())
+        result: List[Any] = []
+        for index in self._sizes:
+            result.extend(index)
         return result
 
     def max_shard_load(self) -> int:
@@ -413,28 +469,33 @@ class DHTStore:
     def __len__(self) -> int:
         return self.total_entries
 
+    def _describe(self) -> str:
+        backing = self.backing
+        kind = "" if backing is None else f"backing={backing.kind}, "
+        return f"{self.name!r}, {kind}entries={self.total_entries}"
+
     def __repr__(self) -> str:
-        return (
-            f"DHTStore({self.name!r}, entries={self.total_entries}, "
-            f"sealed={self.sealed})"
-        )
+        return (f"{type(self).__name__}({self._describe()}, "
+                f"sealed={self.sealed})")
 
 
 class DerivedDHTStore(DHTStore):
     """A copy-on-write overlay over a sealed parent store.
 
     Reads resolve overlay-first (tombstones, then overlay entries, then
-    the parent chain); writes and deletes touch only the overlay.  The
-    aggregate counters (``total_entries`` / ``total_value_bytes``) always
-    describe the *logical* store — parent plus overlay — using the
-    write-time memoized sizes, so they equal what a from-scratch store
-    with the same final content would report.  ``shard_reads`` counts this
-    store's own reads only; the parent's metrics never move.
+    the parent chain); writes and deletes touch only the overlay, whose
+    values live in a child of the parent's lane.  The aggregate counters
+    (``total_entries`` / ``total_value_bytes``) always describe the
+    *logical* store — parent plus overlay — using the write-time memoized
+    sizes, so they equal what a from-scratch store with the same final
+    content would report.  ``shard_reads`` counts this store's own reads
+    only; the parent's metrics never move.
     """
 
     def __init__(self, name: str, parent: DHTStore):
         super().__init__(name, parent.num_shards,
                          strict_rounds=parent._strict_rounds)
+        self._lane = parent._lane.child(name)
         self.parent = parent
         self.total_entries = parent.total_entries
         self.total_value_bytes = parent.total_value_bytes
@@ -443,166 +504,104 @@ class DerivedDHTStore(DHTStore):
 
     # -- resolution ------------------------------------------------------
 
-    def _entry(self, key: Any, shard_index: int) -> Optional[Tuple[Any, int]]:
+    def _owner(self, key: Any, shard_index: int):
         if key in self._deleted[shard_index]:
             return None
         size = self._sizes[shard_index].get(key)
         if size is not None:
-            return self._shards[shard_index][key], size
-        return self.parent._entry(key, shard_index)
+            return self._lane, size
+        return self.parent._owner(key, shard_index)
 
-    def _entry_size(self, key: Any, shard_index: int) -> Optional[int]:
-        if key in self._deleted[shard_index]:
-            return None
-        size = self._sizes[shard_index].get(key)
-        if size is not None:
-            return size
-        return self.parent._entry_size(key, shard_index)
+    def _resolve(self, keys, shards):
+        owner_of = self._owner
+        entries = [owner_of(key, shard_index)
+                   for key, shard_index in zip(keys, shards)]
+        return ([None if entry is None else entry[1] for entry in entries],
+                [None if entry is None else entry[0] for entry in entries])
 
     # -- writes ----------------------------------------------------------
 
-    def write(self, key: Any, value: Any) -> int:
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
-        shard_index = self.shard_of(key)
-        value_bytes = estimate_bytes(value)
-        sizes = self._sizes[shard_index]
-        replaced = sizes.get(key)
-        if replaced is not None:
-            self.total_value_bytes += value_bytes - replaced
-        else:
-            deleted = self._deleted[shard_index]
-            if key in deleted:
-                deleted.discard(key)
-                self.total_entries += 1
-                self.total_value_bytes += value_bytes
-            else:
-                shadowed = self.parent._entry_size(key, shard_index)
-                if shadowed is None:
-                    self.total_entries += 1
-                    self.total_value_bytes += value_bytes
+    def _account(self, keys, shards, sizes) -> None:
+        # An overlay entry's delta is against what the logical view held
+        # before: its own earlier entry, nothing (a tombstoned key comes
+        # back), or the parent chain's entry it now shadows.
+        size_shards = self._sizes
+        deleted_shards = self._deleted
+        parent_owner = self.parent._owner
+        entries_added = 0
+        bytes_delta = 0
+        for key, shard_index, value_bytes in zip(keys, shards, sizes):
+            index = size_shards[shard_index]
+            replaced = index.get(key)
+            if replaced is None:
+                deleted = deleted_shards[shard_index]
+                if key in deleted:
+                    deleted.discard(key)
                 else:
-                    self.total_value_bytes += value_bytes - shadowed
-        self._shards[shard_index][key] = value
-        sizes[key] = value_bytes
-        return value_bytes
-
-    def write_many(self, items: Iterable[Tuple[Any, Any]]) -> int:
-        # Overlay accounting needs the per-key parent probe, so the bulk
-        # path is a plain loop over write() (still one call per item from
-        # the caller's perspective, charge-identical).
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
-        write = self.write
-        return sum(write(key, value) for key, value in items)
-
-    write_all = write_many
+                    shadowed = parent_owner(key, shard_index)
+                    if shadowed is not None:
+                        replaced = shadowed[1]
+            index[key] = value_bytes
+            if replaced is None:
+                entries_added += 1
+                bytes_delta += value_bytes
+            else:
+                bytes_delta += value_bytes - replaced
+        self.total_entries += entries_added
+        self.total_value_bytes += bytes_delta
 
     def delete(self, key: Any) -> bool:
         """Remove ``key`` from the logical view; True if it was present.
 
         Overlay entries are dropped; parent entries are tombstoned (the
-        parent itself is immutable).
+        parent itself is immutable).  The lane acts first, so a failed
+        delete leaves the accounting as it was.
         """
-        if self.sealed:
-            raise StoreSealedError(f"store {self.name!r} is sealed")
+        self._check_writable()
         shard_index = self.shard_of(key)
-        removed = self._sizes[shard_index].pop(key, None)
-        if removed is not None:
-            del self._shards[shard_index][key]
-            self.total_entries -= 1
-            self.total_value_bytes -= removed
-            if self.parent._entry_size(key, shard_index) is not None:
-                self._deleted[shard_index].add(key)
-            return True
-        if key in self._deleted[shard_index]:
+        found = self._owner(key, shard_index)
+        if found is None:
             return False
-        shadowed = self.parent._entry_size(key, shard_index)
-        if shadowed is None:
-            return False
-        self._deleted[shard_index].add(key)
+        shadows = self.parent._owner(key, shard_index) is not None
+        if shadows:
+            self._lane.tombstone(key, shard_index)
+            self._deleted[shard_index].add(key)
+        else:
+            self._lane.delete(key, shard_index)
+        self._sizes[shard_index].pop(key, None)
         self.total_entries -= 1
-        self.total_value_bytes -= shadowed
+        self.total_value_bytes -= found[1]
         return True
 
-    # -- reads -----------------------------------------------------------
+    # -- derivation / introspection --------------------------------------
 
-    def lookup(self, key: Any) -> Any:
-        self._check_readable()
-        shard_index = self.shard_of(key)
-        self.shard_reads[shard_index] += 1
-        entry = self._entry(key, shard_index)
-        return None if entry is None else entry[0]
-
-    def lookup_with_size(self, key: Any) -> Tuple[Any, int]:
-        self._check_readable()
-        shard_index = self.shard_of(key)
-        self.shard_reads[shard_index] += 1
-        entry = self._entry(key, shard_index)
-        if entry is None:
-            return None, 0
-        return entry
-
-    def lookup_many(self, keys: Iterable[Any]) -> Tuple[List[Any], int]:
-        self._check_readable()
-        shard_of = self.shard_of
-        shard_reads = self.shard_reads
-        entry_of = self._entry
-        values: List[Any] = []
-        append = values.append
-        total = 0
-        for key in keys:
-            shard_index = shard_of(key)
-            shard_reads[shard_index] += 1
-            entry = entry_of(key, shard_index)
-            if entry is None:
-                append(None)
-            else:
-                append(entry[0])
-                total += entry[1]
-        return values, total
-
-    def contains(self, key: Any) -> bool:
-        self._check_readable()
-        shard_index = self.shard_of(key)
-        self.shard_reads[shard_index] += 1
-        return self._entry(key, shard_index) is not None
-
-    # -- introspection ---------------------------------------------------
+    def _spawn_sibling(self, name: str) -> DHTStore:
+        return self.parent._spawn_sibling(name)
 
     def keys(self) -> List[Any]:
-        result = []
-        for shard in self._shards:
-            result.extend(shard.keys())
+        result = super().keys()
         # parent.keys() is already the parent's *logical* view, so chained
         # derivations compose
+        shard_of = self.shard_of
         for key in self.parent.keys():
-            shard_index = self.shard_of(key)
-            if (key not in self._shards[shard_index]
+            shard_index = shard_of(key)
+            if (key not in self._sizes[shard_index]
                     and key not in self._deleted[shard_index]):
                 result.append(key)
         return result
 
     def __repr__(self) -> str:
-        return (
-            f"DerivedDHTStore({self.name!r}, entries={self.total_entries}, "
-            f"parent={self.parent.name!r}, sealed={self.sealed})"
-        )
-
-
-#: class instantiated by :meth:`DHTStore.derive`; the backed adapter
-#: (repro.distdht.store) overrides it so derivation stays in-backing
-DHTStore._derived_class = DerivedDHTStore
-DerivedDHTStore._derived_class = DerivedDHTStore
+        return (f"{type(self).__name__}({self._describe()}, "
+                f"parent={self.parent.name!r}, sealed={self.sealed})")
 
 
 class DHTService:
     """Factory and registry for the DHT sequence D0, D1, ...
 
     With ``backing`` set (a :class:`~repro.distdht.backing.BackingStore`),
-    created stores are :class:`~repro.distdht.store.BackedDHTStore`
-    adapters whose values physically live in that backing store; the
-    accounting surface is identical either way.
+    created stores are :class:`~repro.distdht.store.BackedDHTStore`\\ s,
+    whose values physically live in that backing store; the accounting
+    is the same code either way.
     """
 
     def __init__(self, num_shards: int, *, strict_rounds: bool = False,

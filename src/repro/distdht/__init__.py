@@ -30,12 +30,15 @@ against a *distributed hash table*):
   heals online: a circuit breaker skips down nodes, hinted handoff
   parks writes for them, read-repair back-fills failover reads, and a
   background prober replays hints + repairs when a node rejoins;
-* :class:`BackedDHTStore` — a :class:`~repro.ampc.dht.DHTStore`-compatible
-  adapter that keeps **all simulated-cost accounting at the adapter
-  boundary** (same shard placement, same ``estimate_bytes`` charging,
-  same per-shard read counts) while the values physically live in a
-  backing store.  ``AMPCRuntime``, ``Session.prepare``, the incremental
-  ``derive()`` path and both serving services run unchanged against it.
+* :class:`BackedDHTStore` — a :class:`~repro.ampc.dht.DHTStore` whose
+  values physically live in a backing store (its lane,
+  :class:`~repro.distdht.store.BackedLane`).  The simulated-cost
+  accounting is the core store's own code, not a copy, so placement,
+  ``estimate_bytes`` charging and per-shard read counts are the
+  simulator's; ``derive()`` yields a plain
+  :class:`~repro.ampc.dht.DerivedDHTStore` on a child lane.
+  ``AMPCRuntime``, ``Session.prepare``, the incremental path and both
+  serving services run unchanged against it.
 
 Select a backend with ``Session(backend="shm")`` /
 ``serve --backend {sim,shm,socket}``; ``create_backend`` parses the spec.
@@ -59,7 +62,7 @@ from repro.distdht.chaos import (
 from repro.distdht.repair import RepairReport, repair_store
 from repro.distdht.shm import SharedMemoryBackingStore
 from repro.distdht.sockets import DHTNodeServer, SocketBackingStore
-from repro.distdht.store import BackedDHTStore, BackedDerivedDHTStore
+from repro.distdht.store import BackedDHTStore
 
 __all__ = [
     "BackingStore",
@@ -74,7 +77,6 @@ __all__ = [
     "SocketBackingStore",
     "DHTNodeServer",
     "BackedDHTStore",
-    "BackedDerivedDHTStore",
     "create_backend",
     "parse_node",
     "encode_key",

@@ -1,11 +1,11 @@
 """The byte-level KV contract every real DHT backend implements.
 
 A :class:`BackingStore` maps opaque byte keys to opaque byte records.  The
-:class:`~repro.distdht.store.BackedDHTStore` adapter sits above it: keys
-are encoded Python keys under a per-store namespace prefix, and records
-are written by the codec below, which only ever builds ints, floats,
-bools, strings, bytes and plain containers out of bytes it reads from
-shared memory or a socket.
+lane of a backed store (:class:`~repro.distdht.store.BackedLane`) sits
+above it: keys are encoded Python keys under a per-lane namespace, and
+records are written by the codec below, which only ever builds ints,
+floats, bools, strings, bytes and plain containers out of bytes it reads
+from shared memory or a socket.
 
 **Record format.**  A record is a whole number of little-endian 8-byte
 words:

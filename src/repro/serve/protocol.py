@@ -48,6 +48,10 @@ from repro.serve.admission import OverloadedError
 from repro.serve.pool import DeadlineExceededError
 from repro.serve.service import ServiceBase
 
+#: how long ServiceServer.close() waits for the handlers of the connections
+#: it shut down to finish (nothing joins daemon handler threads)
+_HANDLER_EXIT_S = 5.0
+
 
 class ProtocolError(ValueError):
     """A structurally invalid request."""
@@ -326,6 +330,8 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _LineHandler)
         self.service = service
         self._conn_lock = threading.Lock()
+        #: notified whenever a connection's handler finishes
+        self._conn_closed = threading.Condition(self._conn_lock)
         self._active_connections: set = set()
         self._busy_connections: set = set()
         self._serving = False
@@ -341,6 +347,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
             else:
                 self._active_connections.discard(connection)
                 self._busy_connections.discard(connection)
+                self._conn_closed.notify_all()
 
     def _mark_busy(self, connection, *, busy: bool) -> None:
         with self._conn_lock:
@@ -375,7 +382,8 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         ``close`` waits up to ``drain`` seconds for **busy** connections —
         ones mid-request — to deliver their responses, then shuts every
         remaining socket down: blocked ``rfile`` reads see EOF, the
-        handlers exit, and the caller gets the listening port back.  Idle
+        handlers exit (``close`` waits a few seconds at most for them),
+        and the caller gets the listening port back.  Idle
         connections are never waited on, so the wait ends as soon as the
         in-flight work does and a quiet client cannot wedge shutdown (the
         generous default only bounds genuinely running queries).  Safe to
@@ -398,6 +406,11 @@ class ServiceServer(socketserver.ThreadingTCPServer):
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        # the shut-down handlers now see EOF; wait for their finish() so a
+        # caller sees active_connections == 0 once close() returns
+        with self._conn_closed:
+            self._conn_closed.wait_for(lambda: not self._active_connections,
+                                       _HANDLER_EXIT_S)
         self.server_close()
 
 

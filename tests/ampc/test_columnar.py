@@ -72,11 +72,10 @@ class TestWriteColumnarEquivalence:
         assert total_col == total_box
         assert columnar.total_entries == boxed.total_entries
         assert columnar.total_value_bytes == boxed.total_value_bytes
-        assert columnar._shards == boxed._shards
-        assert columnar._sizes == boxed._sizes
-        # per-shard insertion order is observable via dict iteration
-        for shard_col, shard_box in zip(columnar._shards, boxed._shards):
-            assert list(shard_col) == list(shard_box)
+        # keys() walks the shards in order, each in insertion order
+        assert columnar.keys() == boxed.keys()
+        assert [columnar.lookup_with_size(key) for key in columnar.keys()] \
+            == [boxed.lookup_with_size(key) for key in boxed.keys()]
 
     def test_overwrites_refund_like_write_many(self):
         store = DHTStore("s", num_shards=3)

@@ -125,7 +125,7 @@ class TestKVAccess:
     def test_lookup_and_write_metered(self):
         pipeline = make_pipeline()
         store = DHTStore("s", num_shards=4)
-        store.write_all([(i, i * 10) for i in range(10)])
+        store.write_many([(i, i * 10) for i in range(10)])
         store.seal()
 
         class Reader(DoFn):

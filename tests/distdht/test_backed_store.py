@@ -1,15 +1,16 @@
-"""BackedDHTStore/BackedDerivedDHTStore: accounting parity with the
+"""BackedDHTStore and its derived children: accounting parity with the
 simulated stores, namespace lifetime, and lineage folding."""
 
 import gc
 
 import pytest
 
-from repro.ampc.dht import DHTService, DHTStore, StoreSealedError
+from repro.ampc.dht import (DerivedDHTStore, DHTService, DHTStore,
+                            StoreSealedError)
 from repro.distdht.backing import InMemoryBackingStore
 from repro.distdht.shm import SharedMemoryBackingStore
 from repro.distdht.sockets import DHTNodeServer, SocketBackingStore
-from repro.distdht.store import BackedDerivedDHTStore, BackedDHTStore
+from repro.distdht.store import BackedDHTStore
 
 SHARDS = 4
 
@@ -111,11 +112,10 @@ class TestParityWithSimulatedStore:
         parent.write("k", 1)
         parent.seal()
         child = parent.derive()
-        assert isinstance(child, BackedDerivedDHTStore)
         assert child.backing is backing
         child.seal()
         grandchild = child.derive()
-        assert isinstance(grandchild, BackedDerivedDHTStore)
+        assert grandchild.backing is backing
 
     def test_values_round_trip_by_copy(self, backing):
         """The one documented difference: lookups return equal copies,
@@ -129,12 +129,89 @@ class TestParityWithSimulatedStore:
         assert fetched is not value
 
 
+class TestOneAccountingCore:
+    def test_backed_stores_run_the_core_methods(self, backing):
+        """The backed store and its children add no accounting of their
+        own: every method the cost model observes is the core's."""
+        observed = ("write", "write_many", "write_columnar", "lookup",
+                    "lookup_with_size", "lookup_many", "lookup_block",
+                    "contains", "keys", "derive", "folded")
+        root = BackedDHTStore("s", SHARDS, backing=backing)
+        for name in observed:
+            assert getattr(type(root), name) is getattr(DHTStore, name)
+        root.seal()
+        child = root.derive()
+        assert type(child) is DerivedDHTStore
+        for name in (*observed, "delete"):
+            assert getattr(type(child), name) \
+                is getattr(DerivedDHTStore, name)
+
+
+class _FailingPuts(InMemoryBackingStore):
+    """Writes raise while ``down``, as a socket backing's do when no
+    replica is reachable."""
+
+    down = False
+
+    def put(self, key, record):
+        if self.down:
+            raise ConnectionError("no replica reachable for write")
+        super().put(key, record)
+
+    def delete(self, key):
+        if self.down:
+            raise ConnectionError("every replica unreachable for delete")
+        return super().delete(key)
+
+
+def test_a_failed_put_charges_nothing():
+    """Accounting is committed only for what the backing stored: failed
+    writes, batch writes, overlay writes and deletes leave every total
+    as it was, and retries afterwards account exactly once."""
+    backing = _FailingPuts()
+    store = BackedDHTStore("s", SHARDS, backing=backing)
+    store.write_many([(1, (1,)), (2, (2, 2))])
+    before = _accounting(store)
+    backing.down = True
+    with pytest.raises(ConnectionError):
+        store.write(3, (3,))
+    with pytest.raises(ConnectionError):
+        store.write_many([(1, (9, 9, 9)), (4, (4,))])
+    assert _accounting(store) == before
+    assert sorted(store.keys()) == [1, 2]
+    backing.down = False
+    store.write_many([(3, (3,)), (4, (4,))])
+    store.seal()
+    assert (store.total_entries, store.total_value_bytes) == (4, 40)
+    assert [store.lookup(key) for key in (1, 2, 3, 4)] == \
+        [(1,), (2, 2), (3,), (4,)]
+
+    child = store.derive()
+    backing.down = True
+    for attempt in (lambda: child.write(1, (7, 7)),
+                    lambda: child.write(5, (5,)),
+                    lambda: child.delete(2),
+                    lambda: child.delete(1)):
+        with pytest.raises(ConnectionError):
+            attempt()
+    assert (child.total_entries, child.total_value_bytes) == (4, 40)
+    assert sorted(child.keys()) == [1, 2, 3, 4]
+    backing.down = False
+    child.write(1, (7, 7))
+    child.write(5, (5,))
+    assert child.delete(2)
+    child.seal()
+    assert (child.total_entries, child.total_value_bytes) == (4, 40)
+    assert {key: child.lookup(key) for key in child.keys()} == \
+        {1: (7, 7), 3: (3,), 4: (4,), 5: (5,)}
+
+
 class TestNamespaceLifetime:
     def test_store_gc_releases_backing_records(self, backing):
         store = BackedDHTStore("ephemeral", SHARDS, backing=backing)
         store.write_many([(i, i) for i in range(10)])
         store.seal()
-        namespace = store._ns
+        namespace = store._lane.ns
         assert backing.scan(namespace)
         del store
         gc.collect()
@@ -143,9 +220,9 @@ class TestNamespaceLifetime:
     def test_release_is_explicit_and_idempotent(self, backing):
         store = BackedDHTStore("s", SHARDS, backing=backing)
         store.write("k", 1)
-        assert backing.scan(store._ns)
+        assert backing.scan(store._lane.ns)
         store.release()
-        assert backing.scan(store._ns) == []
+        assert backing.scan(store._lane.ns) == []
         store.release()
 
     def test_two_stores_never_collide(self, backing):
@@ -171,8 +248,8 @@ class TestFolding:
             chain.delete(11 - generation)
             chain.seal()
         folded = chain.folded()
-        assert not isinstance(folded, BackedDerivedDHTStore)
         assert isinstance(folded, BackedDHTStore)
+        assert folded.backing is backing
         assert folded.sealed
         assert sorted(folded.keys()) == sorted(chain.keys())
         assert folded.total_entries == chain.total_entries

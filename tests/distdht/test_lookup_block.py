@@ -172,7 +172,7 @@ def test_a_header_that_disagrees_with_the_index_raises(shape):
     backing = InMemoryBackingStore()
     store = _build("mem", shape, backing)
     value, size = store.lookup_with_size(9)
-    backing.put(store._key_bytes(9), encode_record(value, size + 8))
+    backing.put(store._lane.key_bytes(9), encode_record(value, size + 8))
     with pytest.raises(ValueError, match="size index"):
         store.lookup_block(list(range(40)))
     with pytest.raises(ValueError):

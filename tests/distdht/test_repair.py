@@ -308,7 +308,7 @@ class TestBackedStoreRepair:
                 backing.put(b"unrelated", b"x")
                 drop_from_node(node_b, b"unrelated")
                 # desync one of the namespace's records too
-                namespace_keys = backing.scan(backed._ns)
+                namespace_keys = backing.scan(backed._lane.ns)
                 drop_from_node(node_b, namespace_keys[0])
                 report = backed.repair()
                 assert report.converged
