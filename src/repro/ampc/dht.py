@@ -22,10 +22,24 @@ holds them by reference in per-shard dicts, and
 :class:`~repro.distdht.backing.BackingStore`.  A store commits the
 accounting of a write only once its lane has stored the values, so a
 failed put leaves nothing charged.
+
+A derivation chain resolves a key with the same few lookups at any
+depth: the store's own open overlay, then a merged *chain view* of every
+sealed generation above the flat root (key -> owning lane and size, or a
+tombstone; the newest generation wins), then the root.  The chain's tip
+owns the view: ``derive`` hands it to the child without copying it, and
+the child merges its own overlay in when it is sealed, so memory stays
+linear in the total overlay and a derive-and-seal costs O(batch).  An
+ancestor read after its child sealed, or a second child of one parent,
+finds the view moved on and rebuilds one of its own from the overlays
+along its parent chain.  A merge bumps the view's version before it
+touches an entry, and a read re-checks the version after it is done, so a
+read that overlapped a child's seal (another thread) reads again.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -429,16 +443,12 @@ class DHTStore:
         The result has no parent chain: identical logical content,
         identical recorded entry sizes (the write-time memoized sizes are
         copied, not re-estimated), fresh ``shard_reads``, and the same
-        kind of lane.  The Session cache uses this to fold old derivation
-        generations once a lineage outgrows its max-generations knob,
-        releasing the parent stores.
+        kind of lane.  The Session cache uses this to collapse a cache
+        entry's derivation chain once it outgrows the max-generations knob.
         """
         flat = self._spawn_sibling(name or self.name)
-        keys = self.keys()
+        keys, shards, sizes, owners = self._live()
         if keys:
-            shard_of = self.shard_of
-            shards = [shard_of(key) for key in keys]
-            sizes, owners = self._resolve(keys, shards)
             values = self._lane.block(keys, shards, sizes, owners).values()
             flat._commit(keys, shards, values, sizes)
         flat.seal()
@@ -458,10 +468,19 @@ class DHTStore:
     # -- introspection (driver-side; free of charge) ---------------------
 
     def keys(self) -> List[Any]:
-        result: List[Any] = []
-        for index in self._sizes:
-            result.extend(index)
-        return result
+        return self._live()[0]
+
+    def _live(self):
+        """-> (keys, shards, sizes, owners) of every live entry, shard by
+        shard; owners is None: every entry is this store's lane's."""
+        keys: List[Any] = []
+        shards: List[int] = []
+        sizes: List[int] = []
+        for shard_index, index in enumerate(self._sizes):
+            keys.extend(index)
+            shards.extend([shard_index] * len(index))
+            sizes.extend(index.values())
+        return keys, shards, sizes, None
 
     def max_shard_load(self) -> int:
         return max(self.shard_reads)
@@ -479,17 +498,53 @@ class DHTStore:
                 f"sealed={self.sealed})")
 
 
+class _ChainView:
+    """The overlays of a derivation chain merged into one lookup table.
+
+    ``entries`` maps key -> (owning lane, recorded size), or None where
+    a generation tombstoned the key; generations merge oldest first, so
+    the newest one wins.  ``version`` counts merges, and moves before a
+    merge changes any entry: a store reads the view only at the version
+    it last saw (see :meth:`DerivedDHTStore._chain`).
+    """
+
+    __slots__ = ("entries", "version")
+
+    def __init__(self):
+        self.entries: Dict[Any, Any] = {}
+        self.version = 0
+
+    def merge(self, generation: "DerivedDHTStore") -> None:
+        """Lay a sealed generation's overlay over the view."""
+        self.version += 1
+        entries = self.entries
+        lane = generation._lane
+        for own, gone in zip(generation._sizes, generation._deleted):
+            for key, size in own.items():
+                entries[key] = (lane, size)
+            entries.update(dict.fromkeys(gone))
+
+
+#: a chain-view miss (None there is a tombstone)
+_ABSENT = object()
+
+#: makes a seal's "is the view still mine?" check and its merge one step
+_MERGE_LOCK = threading.Lock()
+
+
 class DerivedDHTStore(DHTStore):
     """A copy-on-write overlay over a sealed parent store.
 
-    Reads resolve overlay-first (tombstones, then overlay entries, then
-    the parent chain); writes and deletes touch only the overlay, whose
-    values live in a child of the parent's lane.  The aggregate counters
-    (``total_entries`` / ``total_value_bytes``) always describe the
-    *logical* store — parent plus overlay — using the write-time memoized
-    sizes, so they equal what a from-scratch store with the same final
-    content would report.  ``shard_reads`` counts this store's own reads
-    only; the parent's metrics never move.
+    A read resolves against the open overlay (entries, then tombstones),
+    then the chain view — every sealed generation between this one and
+    the flat ``root``, merged, this one included once it is sealed — then
+    the root: the same few lookups at any depth.  Writes and deletes touch
+    only the overlay, whose values live in a child of the parent's lane.
+    The aggregate counters (``total_entries`` / ``total_value_bytes``)
+    always describe the *logical* store — parent plus overlay — using the
+    write-time memoized sizes, so they equal what a from-scratch store
+    with the same final content would report.  ``shard_reads`` counts
+    this store's own reads only; the parent's metrics never move.
     """
 
     def __init__(self, name: str, parent: DHTStore):
@@ -501,33 +556,116 @@ class DerivedDHTStore(DHTStore):
         self.total_value_bytes = parent.total_value_bytes
         #: keys shadow-deleted from the parent view
         self._deleted: List[set] = [set() for _ in range(self.num_shards)]
+        # The chain tip owns the view: a child takes its parent's view
+        # without copying it and merges its own overlay in when sealed.
+        if isinstance(parent, DerivedDHTStore):
+            #: the flat store at the bottom of the chain
+            self.root: DHTStore = parent.root
+            self._view = parent._chain()
+        else:
+            self.root = parent
+            self._view = _ChainView()
+        self._view_version = self._view.version
+
+    def seal(self) -> None:
+        """Freeze the overlay and merge it into the chain view (unless the
+        view moved on without this store; :meth:`_chain` rebuilds it)."""
+        with _MERGE_LOCK:
+            if not self.sealed and self._view.version == self._view_version:
+                self._view.merge(self)
+                self._view_version = self._view.version
+            super().seal()
 
     # -- resolution ------------------------------------------------------
 
+    def _chain(self) -> _ChainView:
+        """The view of the chain: every generation from the root's child
+        to this one, this one included once it is sealed.
+
+        It is stale once another generation merged into it since this
+        store last did — a sealed child of this store, or a sibling
+        sealed first.  Then this store rebuilds a view of its own from
+        the overlays along its parent chain: O(total overlay), and only
+        an ancestor read after its child sealed, or a second child of one
+        parent, takes this path.
+        """
+        view = self._view
+        if view.version != self._view_version:
+            generations = []
+            node = self if self.sealed else self.parent
+            while isinstance(node, DerivedDHTStore):
+                generations.append(node)
+                node = node.parent
+            view = _ChainView()
+            for generation in reversed(generations):
+                view.merge(generation)
+            self._view = view
+            self._view_version = view.version
+        return view
+
+    def _inherited(self, key: Any, shard_index: int):
+        """What the view and then the root hold for ``key``: (owning
+        lane, recorded size), or None — the generations under an open
+        overlay, or the whole chain once this store is sealed."""
+        view = self._view
+        if view.version != self._view_version:
+            view = self._chain()
+        entry = view.entries.get(key, _ABSENT)
+        if view.version != self._view_version:  # a merge overlapped
+            return self._inherited(key, shard_index)
+        if entry is not _ABSENT:
+            return entry
+        root = self.root
+        size = root._sizes[shard_index].get(key)
+        return None if size is None else (root._lane, size)
+
     def _owner(self, key: Any, shard_index: int):
-        if key in self._deleted[shard_index]:
-            return None
-        size = self._sizes[shard_index].get(key)
-        if size is not None:
-            return self._lane, size
-        return self.parent._owner(key, shard_index)
+        if not self.sealed:  # an open overlay is not in the view yet
+            size = self._sizes[shard_index].get(key)
+            if size is not None:
+                return self._lane, size
+            if key in self._deleted[shard_index]:
+                return None
+        return self._inherited(key, shard_index)
 
     def _resolve(self, keys, shards):
-        owner_of = self._owner
-        entries = [owner_of(key, shard_index)
-                   for key, shard_index in zip(keys, shards)]
-        return ([None if entry is None else entry[1] for entry in entries],
-                [None if entry is None else entry[0] for entry in entries])
+        # Read the whole batch from the root, then re-resolve only the
+        # keys some generation shadows: a sealed generation's overlay is
+        # in the view, an open one's is checked first.
+        view = self._chain()
+        version = view.version
+        root = self.root
+        found, _ = root._resolve(keys, shards)
+        root_lane = root._lane
+        owners = [None if size is None else root_lane for size in found]
+        entries = view.entries
+        shadowed = entries.keys() & keys
+        if not self.sealed:
+            shadowed.update(*self._sizes, *self._deleted)
+        if shadowed:
+            owner_of = None if self.sealed else self._owner
+            for position in [position for position, key in enumerate(keys)
+                             if key in shadowed]:
+                key = keys[position]
+                entry = (entries[key] if owner_of is None
+                         else owner_of(key, shards[position]))
+                if entry is None:
+                    found[position] = owners[position] = None
+                else:
+                    owners[position], found[position] = entry
+        if view.version != version:  # a merge overlapped: read again
+            return self._resolve(keys, shards)
+        return found, owners
 
     # -- writes ----------------------------------------------------------
 
     def _account(self, keys, shards, sizes) -> None:
         # An overlay entry's delta is against what the logical view held
         # before: its own earlier entry, nothing (a tombstoned key comes
-        # back), or the parent chain's entry it now shadows.
+        # back), or the inherited entry it now shadows.
         size_shards = self._sizes
         deleted_shards = self._deleted
-        parent_owner = self.parent._owner
+        inherited = self._inherited
         entries_added = 0
         bytes_delta = 0
         for key, shard_index, value_bytes in zip(keys, shards, sizes):
@@ -538,7 +676,7 @@ class DerivedDHTStore(DHTStore):
                 if key in deleted:
                     deleted.discard(key)
                 else:
-                    shadowed = parent_owner(key, shard_index)
+                    shadowed = inherited(key, shard_index)
                     if shadowed is not None:
                         replaced = shadowed[1]
             index[key] = value_bytes
@@ -553,7 +691,7 @@ class DerivedDHTStore(DHTStore):
     def delete(self, key: Any) -> bool:
         """Remove ``key`` from the logical view; True if it was present.
 
-        Overlay entries are dropped; parent entries are tombstoned (the
+        Overlay entries are dropped; inherited entries are tombstoned (the
         parent itself is immutable).  The lane acts first, so a failed
         delete leaves the accounting as it was.
         """
@@ -562,8 +700,7 @@ class DerivedDHTStore(DHTStore):
         found = self._owner(key, shard_index)
         if found is None:
             return False
-        shadows = self.parent._owner(key, shard_index) is not None
-        if shadows:
+        if self._inherited(key, shard_index) is not None:
             self._lane.tombstone(key, shard_index)
             self._deleted[shard_index].add(key)
         else:
@@ -576,19 +713,40 @@ class DerivedDHTStore(DHTStore):
     # -- derivation / introspection --------------------------------------
 
     def _spawn_sibling(self, name: str) -> DHTStore:
-        return self.parent._spawn_sibling(name)
+        return self.root._spawn_sibling(name)
 
-    def keys(self) -> List[Any]:
-        result = super().keys()
-        # parent.keys() is already the parent's *logical* view, so chained
-        # derivations compose
+    def _live(self):
+        # own entries first, then the view's and the root's unshadowed
+        keys, shards, sizes, _ = super()._live()
+        owners = [self._lane] * len(keys)
+        own_shards = self._sizes
+        deleted_shards = self._deleted
+        view = self._chain()
+        version = view.version
+        chain = view.entries
         shard_of = self.shard_of
-        for key in self.parent.keys():
+        for key, entry in list(chain.items()):
+            if entry is None:
+                continue
             shard_index = shard_of(key)
-            if (key not in self._sizes[shard_index]
-                    and key not in self._deleted[shard_index]):
-                result.append(key)
-        return result
+            if (key not in own_shards[shard_index]
+                    and key not in deleted_shards[shard_index]):
+                keys.append(key)
+                shards.append(shard_index)
+                sizes.append(entry[1])
+                owners.append(entry[0])
+        root = self.root
+        for shard_index, (base, own, gone) in enumerate(zip(
+                root._sizes, own_shards, deleted_shards)):
+            kept = [key for key in base if key not in chain
+                    and key not in own and key not in gone]
+            keys.extend(kept)
+            shards.extend([shard_index] * len(kept))
+            sizes.extend([base[key] for key in kept])
+            owners.extend([root._lane] * len(kept))
+        if view.version != version:  # a merge overlapped: read again
+            return self._live()
+        return keys, shards, sizes, owners
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self._describe()}, "

@@ -385,19 +385,19 @@ def _shallow_bytes(obj: Any) -> int:
 def _fold_stores(obj: Any, memo: Dict[int, Any]) -> Any:
     """Replace every derived-store chain in an artifact with a flat store.
 
-    Walks the artifact shapes prepared artifacts actually take
-    (dataclasses, dicts, lists/tuples) with an identity memo, so a store
-    shared between two fields folds once and stays shared.  Non-container
-    leaves pass through untouched.
+    An artifact with an ``update`` hook keeps its stores in dataclass
+    fields, directly or in a nested dataclass, so the walk follows those
+    fields only: a derived store folds, a dataclass recurses, and any
+    other value — the record lists above all — passes through unread.
+    An identity memo folds a store shared between two fields once and
+    keeps it shared (a dataclass likewise).
     """
     marker = id(obj)
     if marker in memo:
         return memo[marker]
     if isinstance(obj, DerivedDHTStore):
-        folded = obj.folded()
-        memo[marker] = folded
-        return folded
-    if is_dataclass(obj) and not isinstance(obj, type):
+        result = obj.folded()
+    elif is_dataclass(obj) and not isinstance(obj, type):
         changes = {}
         for field_ in fields(obj):
             value = getattr(obj, field_.name)
@@ -405,26 +405,10 @@ def _fold_stores(obj: Any, memo: Dict[int, Any]) -> Any:
             if replacement is not value:
                 changes[field_.name] = replacement
         result = replace(obj, **changes) if changes else obj
-        memo[marker] = result
-        return result
-    if isinstance(obj, dict):
-        result = {key: _fold_stores(value, memo)
-                  for key, value in obj.items()}
-        if all(result[key] is obj[key] for key in result):
-            result = obj
-        memo[marker] = result
-        return result
-    if isinstance(obj, (list, tuple)):
-        items = [_fold_stores(item, memo) for item in obj]
-        if all(new is old for new, old in zip(items, obj)):
-            result = obj
-        elif hasattr(obj, "_fields"):  # namedtuple
-            result = type(obj)(*items)
-        else:
-            result = type(obj)(items)
-        memo[marker] = result
-        return result
-    return obj
+    else:
+        return obj
+    memo[marker] = result
+    return result
 
 
 def _split_batch(ops: Iterable[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
@@ -828,12 +812,13 @@ class Session:
             generations = old_entry.generations + 1
             if (self.max_chain_generations is not None
                     and generations > self.max_chain_generations):
-                # TTL on derivation chains: fold the whole lineage into
-                # flat sealed stores.  The chain's parent stores (and any
-                # evicted ancestors they kept alive) become collectable,
-                # and future lookups stop paying per-generation
-                # fall-through.  Logical content and recorded sizes are
-                # preserved exactly, so results are unchanged.
+                # TTL on derivation chains: collapse this entry's chain
+                # into flat sealed stores.  The parent stores stay alive
+                # while the superseded cache entries that hold them do,
+                # until the LRU evicts those, and a lookup costs the same
+                # at any chain depth, so the fold bounds neither memory
+                # nor lookup cost.  Logical content and recorded sizes
+                # are preserved exactly, so results are unchanged.
                 prepared = _fold_stores(prepared, {})
                 return _CacheEntry(
                     prepared=prepared,

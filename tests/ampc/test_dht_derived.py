@@ -7,9 +7,16 @@ parent (which another cache entry may still serve) never changes at all.
 Every test runs on simulated stores and on backed ones (``mem``, ``shm``).
 """
 
+import sys
+import threading
+import time
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.ampc.columnar import ColumnarRecords
+from repro.ampc.cost_model import estimate_bytes
 from repro.ampc.dht import DHTService, StoreSealedError
 from repro.distdht.backing import InMemoryBackingStore
 from repro.distdht.shm import SharedMemoryBackingStore
@@ -185,3 +192,153 @@ class TestDerivation:
                              _snapshot(child)))
         assert children[0] == children[1]
         assert children[0][4][5] == ((), 0)
+
+
+#: int keys (a probe of all of them takes the vectorised route) and str
+#: keys (routed key by key); few enough that deletes and re-puts collide
+_INT_KEYS = list(range(40))
+_STR_KEYS = ["a", "b", "c"]
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["put", "delete"]),
+              st.sampled_from(_INT_KEYS + _STR_KEYS)),
+    # a bulk write of 32 consecutive int keys from a start key
+    st.tuples(st.just("put_many"), st.integers(0, len(_INT_KEYS) - 32)))
+
+
+def _assert_matches(store, model):
+    """Every read path of ``store`` agrees with the plain dict ``model``."""
+    sizes = {key: estimate_bytes(value) for key, value in model.items()}
+    for probe in (_INT_KEYS, _STR_KEYS):
+        values, total = store.lookup_many(probe)
+        assert values == [model.get(key) for key in probe]
+        assert total == sum(sizes.get(key, 0) for key in probe)
+    assert [store.contains(key) for key in _STR_KEYS] == [
+        key in model for key in _STR_KEYS]
+    assert set(store.keys()) == set(model)
+    assert store.total_entries == len(model)
+    assert store.total_value_bytes == sum(sizes.values())
+    folded = store.folded()
+    assert {key: folded.lookup(key) for key in folded.keys()} == model
+    assert folded.total_value_bytes == store.total_value_bytes
+
+
+class TestChainsAgainstAModel:
+    """Random derivation chains read exactly like a dict per generation."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(generations=st.lists(st.lists(_OPS, max_size=10),
+                                min_size=1, max_size=12),
+           ancestor=st.integers(0, 11))
+    def test_random_chains(self, base_store, generations, ancestor):
+        root = {key: (key,) for key in _INT_KEYS[::3] + _STR_KEYS[:1]}
+        chain = [base_store(sorted(root.items(), key=repr))]
+        models = [root]
+        for depth, ops in enumerate(generations, start=1):
+            child = chain[-1].derive()
+            model = dict(models[-1])
+            for op, arg in ops:
+                if op == "put":
+                    child.write(arg, (depth, len(model)))
+                    model[arg] = (depth, len(model))
+                elif op == "delete":
+                    assert child.delete(arg) is (arg in model)
+                    model.pop(arg, None)
+                else:
+                    batch = [(key, (depth,)) for key in
+                             _INT_KEYS[arg:arg + 32]]
+                    child.write_many(batch)
+                    model.update(batch)
+            _assert_matches(child, model)  # the open overlay
+            child.seal()
+            chain.append(child)
+            models.append(model)
+        _assert_matches(chain[-1], models[-1])
+        # an ancestor read after a child was derived from it and sealed,
+        # then a second child of that ancestor
+        older = min(ancestor, len(chain) - 2)
+        _assert_matches(chain[older], models[older])
+        fork = chain[older].derive()
+        fork.delete(_STR_KEYS[0])
+        fork.write(_INT_KEYS[1], ("fork",))
+        fork.seal()
+        model = dict(models[older])
+        model.pop(_STR_KEYS[0], None)
+        model[_INT_KEYS[1]] = ("fork",)
+        _assert_matches(fork, model)
+        _assert_matches(chain[-1], models[-1])
+
+
+class TestChainMemory:
+    def test_views_stay_linear_in_the_overlay(self, base_store):
+        """An unfolded chain shares one view along the chain: no
+        generation copies its parent's."""
+        store = base_store([(key, (key,)) for key in range(100)])
+        chain = []
+        for generation in range(200):
+            store = store.derive()
+            first = 1000 * (generation + 1)
+            store.write_many((first + key, (key,)) for key in range(10))
+            store.seal()
+            assert store.lookup(first) == (0,)
+            chain.append(store)
+        views = {id(generation._view): generation._view
+                 for generation in chain}
+        overlay = chain[-1].total_entries - chain[0].parent.total_entries
+        assert overlay == 2000
+        assert sum(len(view.entries) for view in views.values()) \
+            <= 2 * overlay
+
+
+class TestChainViewUnderThreads:
+    def test_reads_hold_while_children_seal(self):
+        """Sealing a child merges into the view its parent reads: readers
+        of the parent and concurrently sealing siblings each still see
+        exactly their own content."""
+        keys = list(range(300))
+        root = DHTService(4).create("base")
+        root.write_many((key, (key,)) for key in keys[:200])
+        root.seal()
+        parent = root.derive()
+        parent.write_many((key, ("p",)) for key in keys[100:250])
+        parent.seal()
+        expected = [(key,) if key < 100 else ("p",) if key < 250 else None
+                    for key in keys]
+        errors = []
+        stop = threading.Event()
+
+        def read_parent():
+            while not stop.is_set():
+                if parent.lookup_many(keys)[0] != expected:
+                    errors.append("batch read of the parent")
+                if parent.lookup(120) != ("p",):
+                    errors.append("scalar read of the parent")
+
+        def seal_children(tag):
+            while not stop.is_set():
+                child = parent.derive()
+                child.write_many((key, (tag,)) for key in keys[::2])
+                child.delete(1)
+                child.seal()
+                values = child.lookup_many(keys)[0]
+                if values != [None if key == 1 else (tag,) if key % 2 == 0
+                              else value
+                              for key, value in zip(keys, expected)]:
+                    errors.append(f"child {tag}")
+
+        workers = [threading.Thread(target=read_parent) for _ in range(3)]
+        workers += [threading.Thread(target=seal_children, args=(tag,))
+                    for tag in ("x", "y")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []

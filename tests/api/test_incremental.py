@@ -8,10 +8,12 @@ graph produces — while ``SessionStats`` proves the patch path actually ran
 """
 
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from repro.ampc.cluster import ClusterConfig
+from repro.ampc.dht import DerivedDHTStore
 from repro.api import Session, SessionStats, registry
 from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.graph import Graph, WeightedGraph
@@ -141,12 +143,28 @@ class TestIncrementalEqualsScratch:
         assert session.stats.incremental_updates == 3
 
 
+def _walk(obj):
+    """Every object a deep walk of an artifact reaches: dataclass
+    fields, dict values, list and tuple items."""
+    yield obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, field_.name) for field_ in fields(obj)]
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        return
+    for child in children:
+        yield from _walk(child)
+
+
 class TestRecordsMirrorTheStore:
     """The MIS sweep's truth and matching's search plan derive structure
     from ``prepared.records`` and only *charge* the store, so the two
     must hold the same content in every generation of an artifact."""
 
-    @pytest.mark.parametrize("name", ["mis", "matching", "msf"])
+    @pytest.mark.parametrize("name", UPDATE_SPECS)
     def test_through_update_batches_and_a_fold(self, name):
         session = Session(CONFIG, max_chain_generations=2)
         graph = _build_graph(registry.get(name).input_kind)
@@ -157,10 +175,18 @@ class TestRecordsMirrorTheStore:
             session.run(name, "g", seed=1)
             entry = next(reversed(session._cache.values()))  # just served
             generations.append(entry.generations)
-            records, store = entry.prepared.records, entry.prepared.store
-            values, _ = store.lookup_many([key for key, _ in records])
-            assert values == [value for _, value in records]
-            assert store.total_entries == len(records)
+            reached = list(_walk(entry.prepared))
+            for part in reached:
+                store = getattr(part, "store", None)
+                if store is None or not hasattr(part, "records"):
+                    continue
+                records = part.records
+                values, _ = store.lookup_many([key for key, _ in records])
+                assert values == [value for _, value in records]
+                assert store.total_entries == len(records)
+            if entry.generations == 0:  # a prepare or a fold: no chain
+                assert not any(isinstance(part, DerivedDHTStore)
+                               for part in reached)
             insertions, deletions = _batch(graph, rng)
             handle.apply_batch(insertions=insertions, deletions=deletions)
         # a prepare, two derived generations, the fold, a derived one
