@@ -23,9 +23,10 @@ from repro.ampc.metrics import Metrics
 from repro.ampc.runtime import AMPCRuntime
 from repro.api.incremental import touched_edges
 from repro.api.registry import AlgorithmSpec, ParamSpec, register_algorithm
-from repro.core.msf import PreparedMSF, ampc_msf, prepare_msf, update_msf
+from repro.core.msf import (PreparedMSF, _PointerJump, ampc_msf, prepare_msf,
+                            update_msf)
 from repro.core.ranks import hash_rank
-from repro.dataflow.dofn import DoFn, MachineContext
+from repro.dataflow.dofn import DoFn
 from repro.graph.graph import Graph, WeightedGraph, edge_key
 
 EdgeId = Tuple[int, int]
@@ -78,36 +79,6 @@ class _ForestSearch(DoFn):
                 if u not in visited:
                     frontier.append(u)
             frontier.sort()
-
-
-class _PointerJump(DoFn):
-    """Chase pointers to roots (per-machine memoized)."""
-
-    def __init__(self, store):
-        self._store = store
-        self._cache: Optional[Dict[int, int]] = None
-
-    def start_machine(self, ctx: MachineContext) -> None:
-        self._cache = {} if ctx.caching_enabled else None
-
-    def process(self, element, ctx):
-        vertex = element
-        chain = []
-        current = vertex
-        while True:
-            if self._cache is not None and current in self._cache:
-                ctx.note_cache_hit()
-                current = self._cache[current]
-                break
-            parent = ctx.lookup(self._store, current)
-            if parent is None or parent == current:
-                break
-            chain.append(current)
-            current = parent
-        if self._cache is not None:
-            for node in chain:
-                self._cache[node] = current
-        yield (vertex, current)
 
 
 def ampc_forest_connectivity(num_vertices: int,

@@ -3,18 +3,34 @@
 One :class:`DHTNodeServer` is one storage node — a threaded TCP server
 over an in-memory byte map, speaking a length-prefixed binary protocol
 (one op byte, a little-endian u32 payload length, then the payload; the
-response mirrors it with a status byte).  ``python -m repro dht-server``
-runs one as a standalone process.
+response mirrors it with a status byte).  Payloads decode exactly: a
+chunk that overruns its frame, or bytes left over after the last one,
+raise :class:`FrameError` — the node answers ``STATUS_ERROR`` and
+stores nothing, the client raises it to its caller.  ``python -m repro
+dht-server`` runs one node as a standalone process.
 
 :class:`SocketBackingStore` is the client: keys place onto nodes by
 **consistent hashing** (each node projected onto the ring at
 ``VNODES`` points via :func:`~repro.ampc.hashing.stable_hash`, a key
-served by the first ``replication`` distinct nodes clockwise of its hash),
-connections are **pooled** per node and reused across requests, transient
-failures **retry with exponential backoff**, and reads **fail over** to
-the next replica when a node is unreachable or misses the key — a killed
-node mid-query costs a reconnect, not the query, as long as one replica
-survives.
+served by the first ``replication`` distinct nodes clockwise of its hash,
+tabulated per ring slot at construction), connections are **pooled** per
+node and reused across requests, and transient failures **retry with
+exponential backoff**.
+
+Every keyed operation is a batch of one of two replica walks, planned
+from one health snapshot per batch:
+
+* the **read walk** (``get``, ``get_many``; ``contains`` is ``get``)
+  **fails over** from replica to replica, one MGET per node per round,
+  so a killed node costs a reconnect, not the query, while one replica
+  survives.  A :data:`~repro.distdht.backing.TOMBSTONE` is authoritative
+  on every read, the locator fetch included: a replica that missed a
+  delete cannot bring the key back.
+* the **write walk** (``put``, ``put_many``; ``delete`` writes a
+  tombstone) sends one MPUT per node.  Each key must be stored by at
+  least one of its replicas, or the write raises; the replicas a written
+  key missed get a hint.  The MPUT reply flags, per key, whether the node
+  held a live record before, which is how ``delete`` reports a hit.
 
 Replicas also *converge*, not just survive:
 
@@ -24,9 +40,7 @@ Replicas also *converge*, not just survive:
   prober PINGs it every ``probe_interval_s`` until it answers again.
 * **Hinted handoff** — a write whose replica is down (or fails) is
   parked as a *hint* on a reachable peer (HINT/TAKE_HINTS frames) and
-  replayed onto the node when the prober sees it return.  Deletes
-  write :data:`~repro.distdht.backing.TOMBSTONE` marker records, so a
-  delete a replica missed cannot resurrect on a later failover read.
+  replayed onto the node when the prober sees it return.
 * **Read-repair** — a read answered by a later replica writes the
   record back to the earlier replicas that missed it.
 * **Anti-entropy** — :meth:`SocketBackingStore.repair` (DIGEST frames,
@@ -65,10 +79,6 @@ from repro.distdht.chaos import BlackholeError, ChaosInjector
 _HEADER = struct.Struct("<BI")   # (op | status, payload length)
 _U32 = struct.Struct("<I")
 
-OP_PUT = 1
-OP_GET = 2
-OP_DELETE = 3
-OP_CONTAINS = 4
 OP_SCAN = 5
 OP_DELETE_PREFIX = 6
 OP_MPUT = 7
@@ -78,10 +88,8 @@ OP_STATS = 10
 OP_HINT = 11
 OP_TAKE_HINTS = 12
 OP_DIGEST = 13
-OP_TOMBSTONE = 14
 
 STATUS_OK = 0
-STATUS_MISSING = 1
 STATUS_ERROR = 2
 
 #: virtual nodes per physical node on the consistent-hash ring
@@ -98,9 +106,18 @@ DEFAULT_FAILURE_THRESHOLD = 3
 #: :meth:`SocketBackingStore.probe_now` only)
 DEFAULT_PROBE_INTERVAL_S = 0.5
 
+#: how often a serving node checks whether it was asked to stop; close()
+#: waits up to this long
+_POLL_INTERVAL_S = 0.05
+
 #: hint-entry kind tags (first byte of a hint's stored key)
 _HINT_PUT = b"P"
 _HINT_PREFIX_DELETE = b"X"
+
+
+class FrameError(ValueError):
+    """A frame payload that does not decode exactly: a chunk overruns it,
+    bytes are left over, or it holds the wrong number of chunks."""
 
 
 def _recv_exact(sock: socket.socket, length: int) -> bytes:
@@ -134,27 +151,45 @@ def _pack_chunks(chunks: Sequence[bytes]) -> bytes:
 
 
 def _unpack_chunks(payload: bytes) -> List[bytes]:
+    end = len(payload)
+    if end < _U32.size:
+        raise FrameError(f"chunk list of {end} bytes has no count")
     count = _U32.unpack_from(payload, 0)[0]
     chunks = []
     offset = _U32.size
     for _ in range(count):
+        if offset + _U32.size > end:
+            raise FrameError(f"chunk {len(chunks)} of {count} overruns "
+                             f"the {end}-byte payload")
         length = _U32.unpack_from(payload, offset)[0]
         offset += _U32.size
+        if offset + length > end:
+            raise FrameError(f"chunk {len(chunks)} of {length} bytes "
+                             f"overruns the {end}-byte payload")
         chunks.append(payload[offset:offset + length])
         offset += length
+    if offset != end:
+        raise FrameError(f"{end - offset} bytes after the last chunk")
+    return chunks
+
+
+def _reply_chunks(reply: bytes, count: int) -> List[bytes]:
+    """An MGET reply's chunks, exactly one per key asked."""
+    chunks = _unpack_chunks(reply)
+    if len(chunks) != count:
+        raise FrameError(f"{len(chunks)} chunks answer {count} keys")
     return chunks
 
 
 def _pack_pairs(pairs: Sequence[Tuple[bytes, bytes]]) -> bytes:
-    chunks: List[bytes] = []
-    for first, second in pairs:
-        chunks.extend((first, second))
-    return _pack_chunks(chunks)
+    return _pack_chunks([chunk for pair in pairs for chunk in pair])
 
 
 def _unpack_pairs(payload: bytes) -> List[Tuple[bytes, bytes]]:
     chunks = _unpack_chunks(payload)
-    return [(chunks[i], chunks[i + 1]) for i in range(0, len(chunks), 2)]
+    if len(chunks) % 2:
+        raise FrameError(f"{len(chunks)} chunks do not form pairs")
+    return list(zip(chunks[0::2], chunks[1::2]))
 
 
 # -- server -----------------------------------------------------------------
@@ -194,36 +229,22 @@ class _NodeHandler(socketserver.BaseRequestHandler):
                   server: "_NodeServer") -> Tuple[int, bytes]:
         data: Dict[bytes, bytes] = server.data
         lock = server.data_lock
-        if op == OP_PUT:
-            klen = _U32.unpack_from(payload, 0)[0]
-            key = payload[_U32.size:_U32.size + klen]
-            value = payload[_U32.size + klen:]
+        if op == OP_MPUT:
+            # one reply byte per pair: 1 where the key held a live record
+            # before this write (how a tombstone write reports a delete)
+            pairs = _unpack_pairs(payload)
             with lock:
-                data[key] = value
-            return STATUS_OK, b""
-        if op == OP_GET:
+                prior = [data.get(key) for key, _value in pairs]
+                data.update(pairs)
+            return STATUS_OK, bytes(value is not None and value != TOMBSTONE
+                                    for value in prior)
+        if op == OP_MGET:
+            keys = _unpack_chunks(payload)
             with lock:
-                value = data.get(payload)
-            if value is None:
-                return STATUS_MISSING, b""
-            return STATUS_OK, value
-        if op == OP_DELETE:
-            with lock:
-                found = data.pop(payload, None) is not None
-            return STATUS_OK, b"\x01" if found else b"\x00"
-        if op == OP_TOMBSTONE:
-            # A replicated delete: leave a marker so a replica that
-            # missed the delete can never resurrect the key on failover
-            # reads, and so anti-entropy propagates the delete itself.
-            with lock:
-                prior = data.get(payload)
-                data[payload] = TOMBSTONE
-            found = prior is not None and prior != TOMBSTONE
-            return STATUS_OK, b"\x01" if found else b"\x00"
-        if op == OP_CONTAINS:
-            with lock:
-                found = data.get(payload) not in (None, TOMBSTONE)
-            return STATUS_OK, b"\x01" if found else b"\x00"
+                found = [data.get(key) for key in keys]
+            return STATUS_OK, _pack_chunks(
+                [b"" if value is None else b"\x01" + value
+                 for value in found])
         if op == OP_SCAN:
             with lock:
                 keys = [key for key, value in data.items()
@@ -235,27 +256,14 @@ class _NodeHandler(socketserver.BaseRequestHandler):
                 for key in doomed:
                     del data[key]
             return STATUS_OK, _U32.pack(len(doomed))
-        if op == OP_MPUT:
-            items = _unpack_chunks(payload)
-            with lock:
-                for index in range(0, len(items), 2):
-                    data[items[index]] = items[index + 1]
-            return STATUS_OK, b""
-        if op == OP_MGET:
-            keys = _unpack_chunks(payload)
-            with lock:
-                found = [data.get(key) for key in keys]
-            return STATUS_OK, _pack_chunks(
-                [b"" if value is None else b"\x01" + value
-                 for value in found])
         if op == OP_HINT:
             chunks = _unpack_chunks(payload)
-            target = chunks[0]
+            if len(chunks) % 2 != 1:
+                raise FrameError("a hint frame is a target, then pairs")
+            entries = list(zip(chunks[1::2], chunks[2::2]))
             with lock:
-                bucket = server.hints.setdefault(target, {})
-                for index in range(1, len(chunks), 2):
-                    bucket[chunks[index]] = chunks[index + 1]
-            return STATUS_OK, _U32.pack((len(chunks) - 1) // 2)
+                server.hints.setdefault(chunks[0], {}).update(entries)
+            return STATUS_OK, _U32.pack(len(entries))
         if op == OP_TAKE_HINTS:
             with lock:
                 bucket = server.hints.pop(payload, {})
@@ -376,14 +384,14 @@ class DHTNodeServer:
     def start(self) -> "DHTNodeServer":
         """Serve on a background thread (tests / embedded use)."""
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,),
             name=f"repro-dht-node-{self.address[1]}", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI entry point)."""
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_INTERVAL_S)
 
     def close(self) -> None:
         self._server.shutdown()
@@ -456,7 +464,7 @@ class _NodeClient:
         except OSError:
             pass
 
-    def request(self, op: int, payload: bytes) -> Tuple[int, bytes]:
+    def request(self, op: int, payload: bytes) -> bytes:
         """One request/response round trip; retries transient failures.
 
         A pooled connection that fails is dropped and replaced; after
@@ -490,7 +498,7 @@ class _NodeClient:
                 raise RuntimeError(
                     f"dht node {self.host}:{self.port}: "
                     f"{reply.decode('utf-8', 'replace')}")
-            return status, reply
+            return reply
         raise ConnectionError(
             f"dht node {self.host}:{self.port} unreachable: {last_error}")
 
@@ -507,26 +515,30 @@ class _NodeClient:
 def _fetch_dht(locator) -> bytes:
     """Resolve a ``("dht", ((host, port), ...), key)`` locator.
 
-    Tries each replica in placement order over a transient connection;
-    the record must exist (and not be tombstoned) on some reachable
-    replica.
+    Asks each replica in placement order, over a transient connection,
+    with a one-key MGET.  A miss asks the next replica; a tombstone is
+    authoritative, as on every read, and raises KeyError at once.
     """
     _tag, nodes, key = locator
-    last_error: Optional[Exception] = None
+    request = _pack_chunks([key])
+    last_error: Exception = KeyError(key)
     for host, port in nodes:
         client = _NodeClient(host, port, timeout=10.0, retries=1,
                              backoff_s=0.05, pool_size=0)
         try:
-            status, reply = client.request(OP_GET, key)
+            reply = client.request(OP_MGET, request)
         except ConnectionError as error:
             last_error = error
             continue
         finally:
             client.close()
-        if status == STATUS_OK and reply != TOMBSTONE:
-            return reply
+        chunk = _reply_chunks(reply, 1)[0]
+        if chunk[1:] == TOMBSTONE:
+            raise KeyError(f"record {key!r} deleted on {host}:{port}")
+        if chunk:
+            return chunk[1:]
         last_error = KeyError(f"record {key!r} missing on {host}:{port}")
-    raise last_error if last_error is not None else KeyError(key)
+    raise last_error
 
 
 register_fetcher("dht", _fetch_dht)
@@ -568,10 +580,6 @@ class _HealthRegistry:
                 self._down[index] = False
                 return True
         return False
-
-    def is_down(self, index: int) -> bool:
-        with self._lock:
-            return self._down[index]
 
     def down_indexes(self) -> List[int]:
         with self._lock:
@@ -652,14 +660,25 @@ class SocketBackingStore(BackingStore):
         ]
         # Consistent-hash ring: VNODES points per node, stable across
         # processes (stable_hash), so every client and every locator
-        # agrees on placement without coordination.
-        ring: List[Tuple[int, int]] = []
-        for index, (host, port) in enumerate(parsed):
-            for vnode in range(VNODES):
-                ring.append((stable_hash(f"{host}:{port}#{vnode}"), index))
-        ring.sort()
-        self._ring = ring
-        self._ring_hashes = [point[0] for point in ring]
+        # agrees on placement without coordination.  A key's slot is
+        # bisect_right of its hash; _placement holds each slot's replica
+        # tuple (the first `replication` distinct owners clockwise), with
+        # the slot past the last point wrapping round to the first.
+        ring = sorted((stable_hash(f"{host}:{port}#{vnode}"), index)
+                      for index, (host, port) in enumerate(parsed)
+                      for vnode in range(VNODES))
+        self._ring_hashes = [point for point, _owner in ring]
+        self._placement: List[Tuple[int, ...]] = []
+        for slot in range(len(ring)):
+            replicas: List[int] = []
+            step = slot
+            while len(replicas) < self.replication:
+                owner = ring[step % len(ring)][1]
+                if owner not in replicas:
+                    replicas.append(owner)
+                step += 1
+            self._placement.append(tuple(replicas))
+        self._placement.append(self._placement[0])
         # -- self-healing state -------------------------------------------
         self.failure_threshold = failure_threshold
         self.probe_interval_s = probe_interval_s
@@ -679,17 +698,10 @@ class SocketBackingStore(BackingStore):
 
     # -- placement --------------------------------------------------------
 
-    def replicas_for(self, key: bytes) -> List[int]:
-        """Node indexes serving ``key``, primary first (ring walk)."""
-        position = bisect_right(self._ring_hashes, stable_hash(key))
-        replicas: List[int] = []
-        for step in range(len(self._ring)):
-            index = self._ring[(position + step) % len(self._ring)][1]
-            if index not in replicas:
-                replicas.append(index)
-                if len(replicas) == self.replication:
-                    break
-        return replicas
+    def replicas_for(self, key: bytes) -> Tuple[int, ...]:
+        """Node indexes serving ``key``, primary first."""
+        return self._placement[bisect_right(self._ring_hashes,
+                                            stable_hash(key))]
 
     # -- node health ------------------------------------------------------
 
@@ -711,20 +723,40 @@ class SocketBackingStore(BackingStore):
             # the prober if configured, else the next probe_now() call
             self._ensure_prober()
 
-    def _partition(self, replicas: Sequence[int]) -> Tuple[List[int],
-                                                           List[int]]:
-        """Split a replica walk into (attempt-now, known-down).
+    def _request(self, index: int, op: int, payload: bytes) -> bytes:
+        """One request to one node, its outcome noted in the breaker."""
+        try:
+            reply = self._clients[index].request(op, payload)
+        except ConnectionError:
+            self._note_failure(index)
+            raise
+        self._note_success(index)
+        return reply
 
-        When *every* replica is marked down the walk attempts all of
-        them anyway (half-open: the only way back up without a prober).
+    def _plan(self, keys: Sequence[bytes]) -> Tuple[List[Tuple[int, ...]],
+                                                    List[int]]:
+        """Each key's replica attempt order and where its down tail starts.
+
+        One health snapshot serves the whole batch.  Replicas marked down
+        move behind the up ones, counting one fast-fail each — unless
+        every replica of the key is down: then the walk attempts them all
+        (half-open: the only way back up without a prober).
         """
-        up = [i for i in replicas if not self._health.is_down(i)]
-        if not up:
-            return list(replicas), []
-        if len(up) == len(replicas):
-            return up, []
-        down = [i for i in replicas if i not in up]
-        return up, down
+        orders = [self.replicas_for(key) for key in keys]
+        boundaries = [len(order) for order in orders]
+        down = self._health.down_indexes()
+        if down:
+            skipped = 0
+            for position, order in enumerate(orders):
+                tail = tuple(index for index in order if index in down)
+                if tail and len(tail) < len(order):
+                    orders[position] = tuple(
+                        index for index in order if index not in down) + tail
+                    boundaries[position] = len(order) - len(tail)
+                    skipped += len(tail)
+            if skipped:
+                self._count("fast_fails", skipped)
+        return orders, boundaries
 
     # -- prober -----------------------------------------------------------
 
@@ -812,21 +844,18 @@ class SocketBackingStore(BackingStore):
         """
         if not entries or not self.hinted_handoff or len(self._clients) < 2:
             return False
-        chunks: List[bytes] = [self._hint_target(target_index)]
-        for kind_key, payload in entries:
-            chunks.extend((kind_key, payload))
-        frame = _pack_chunks(chunks)
+        frame = _pack_chunks([self._hint_target(target_index)]
+                             + [chunk for pair in entries for chunk in pair])
         order = [(target_index + step) % len(self._clients)
                  for step in range(1, len(self._clients))]
-        candidates = ([i for i in order if not self._health.is_down(i)]
-                      + [i for i in order if self._health.is_down(i)])
+        down = self._health.down_indexes()
+        candidates = ([i for i in order if i not in down]
+                      + [i for i in order if i in down])
         for index in candidates:
             try:
-                self._clients[index].request(OP_HINT, frame)
+                self._request(index, OP_HINT, frame)
             except ConnectionError:
-                self._note_failure(index)
                 continue
-            self._note_success(index)
             self._count("hints_parked", len(entries))
             return True
         return False
@@ -835,15 +864,14 @@ class SocketBackingStore(BackingStore):
         """Collect and apply every peer's parked hints for one node."""
         target = self._hint_target(index)
         replayed = 0
-        for holder, client in enumerate(self._clients):
-            if holder == index or self._health.is_down(holder):
+        down = self._health.down_indexes()
+        for holder in range(len(self._clients)):
+            if holder == index or holder in down:
                 continue
             try:
-                _status, reply = client.request(OP_TAKE_HINTS, target)
+                reply = self._request(holder, OP_TAKE_HINTS, target)
             except ConnectionError:
-                self._note_failure(holder)
                 continue
-            self._note_success(holder)
             pairs = _unpack_pairs(reply)
             if not pairs:
                 continue
@@ -853,13 +881,12 @@ class SocketBackingStore(BackingStore):
                         if kind_key[:1] == _HINT_PREFIX_DELETE]
             try:
                 if puts:
-                    self._clients[index].request(OP_MPUT, _pack_pairs(puts))
+                    self._request(index, OP_MPUT, _pack_pairs(puts))
                 # prefix-drops last: a namespace released while its
                 # node was down must win over that namespace's writes
                 for prefix in prefixes:
-                    self._clients[index].request(OP_DELETE_PREFIX, prefix)
+                    self._request(index, OP_DELETE_PREFIX, prefix)
             except ConnectionError:
-                self._note_failure(index)
                 self._park_hints(index, pairs)  # it vanished again
                 break
             replayed += len(pairs)
@@ -884,296 +911,169 @@ class SocketBackingStore(BackingStore):
     def node_digest(self, index: int, prefix: bytes = b"") \
             -> Dict[bytes, bytes]:
         """``{key: record digest}`` for one node's keys under prefix."""
-        try:
-            _status, reply = self._clients[index].request(OP_DIGEST, prefix)
-        except ConnectionError:
-            self._note_failure(index)
-            raise
-        self._note_success(index)
-        return dict(_unpack_pairs(reply))
+        return dict(_unpack_pairs(self._request(index, OP_DIGEST, prefix)))
 
     def node_get_record(self, index: int, key: bytes) -> Optional[bytes]:
-        try:
-            status, reply = self._clients[index].request(OP_GET, key)
-        except ConnectionError:
-            self._note_failure(index)
-            raise
-        self._note_success(index)
-        return reply if status == STATUS_OK else None
+        chunk = _reply_chunks(
+            self._request(index, OP_MGET, _pack_chunks([key])), 1)[0]
+        return chunk[1:] if chunk else None
 
     def node_put_record(self, index: int, key: bytes,
                         record: bytes) -> None:
-        payload = _U32.pack(len(key)) + key + record
-        try:
-            self._clients[index].request(OP_PUT, payload)
-        except ConnectionError:
-            self._note_failure(index)
-            raise
-        self._note_success(index)
+        self._request(index, OP_MPUT, _pack_pairs([(key, record)]))
 
-    # -- read repair ------------------------------------------------------
+    # -- the two replica walks --------------------------------------------
 
-    def _repair_back(self, key: bytes, record: bytes,
-                     indexes: Sequence[int]) -> None:
-        payload = _U32.pack(len(key)) + key + record
-        for index in indexes:
-            try:
-                self._clients[index].request(OP_PUT, payload)
-            except ConnectionError:
-                self._note_failure(index)
-                continue
-            self._note_success(index)
-            self._count("read_repairs")
+    def _read_walk(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Every keyed read is a batch of this walk.
 
-    # -- BackingStore -----------------------------------------------------
-
-    def put(self, key: bytes, record: bytes) -> None:
-        payload = _U32.pack(len(key)) + key + record
-        attempt, skipped = self._partition(self.replicas_for(key))
-        if skipped:
-            self._count("fast_fails", len(skipped))
-        reached = 0
-        failed: List[int] = []
-        last_error: Optional[Exception] = None
-        for index in attempt:
-            try:
-                self._clients[index].request(OP_PUT, payload)
-            except ConnectionError as error:
-                last_error = error
-                self._note_failure(index)
-                failed.append(index)
-                continue
-            self._note_success(index)
-            reached += 1
-        if not reached:
-            raise ConnectionError(
-                f"no replica reachable for write: {last_error}")
-        for index in skipped + failed:
-            self._park_hints(index, [(_HINT_PUT + key, record)])
-
-    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
-        """Group items by replica node: one MPUT round trip per node."""
-        per_node: Dict[int, List[bytes]] = {}
-        hints: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for key, record in items:
-            attempt, skipped = self._partition(self.replicas_for(key))
-            if skipped:
-                self._count("fast_fails", len(skipped))
-            for index in attempt:
-                per_node.setdefault(index, []).extend((key, record))
-            for index in skipped:
-                hints.setdefault(index, []).append(
-                    (_HINT_PUT + key, record))
-        reached = 0
-        last_error: Optional[Exception] = None
-        for index, chunks in per_node.items():
-            try:
-                self._clients[index].request(OP_MPUT, _pack_chunks(chunks))
-            except ConnectionError as error:
-                last_error = error
-                self._note_failure(index)
-                hints.setdefault(index, []).extend(
-                    (_HINT_PUT + chunks[i], chunks[i + 1])
-                    for i in range(0, len(chunks), 2))
-                continue
-            self._note_success(index)
-            reached += 1
-        if per_node and not reached:
-            raise ConnectionError(
-                f"no replica reachable for batch write: {last_error}")
-        for index, entries in hints.items():
-            self._park_hints(index, entries)
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        attempt, skipped = self._partition(self.replicas_for(key))
-        if skipped:
-            self._count("fast_fails", len(skipped))
-        last_error: Optional[Exception] = None
-        answered = False
-        stale: List[int] = []   # up replicas that answered "missing"
-        boundary = len(attempt)
-        for position, index in enumerate(attempt + skipped):
-            if answered and position >= boundary:
-                break  # an up replica already answered authoritatively
-            try:
-                status, reply = self._clients[index].request(OP_GET, key)
-            except ConnectionError as error:
-                last_error = error
-                self._note_failure(index)
-                continue  # read failover: next replica
-            self._note_success(index)
-            answered = True
-            if status != STATUS_OK:
-                stale.append(index)
-                continue  # miss failover: a later replica may hold it
-            if reply == TOMBSTONE:
-                return None  # the delete marker is authoritative
-            if stale and self.read_repair:
-                self._repair_back(key, reply, stale)
-            return reply
-        if answered:
-            return None
-        raise ConnectionError(
-            f"every replica unreachable for read: {last_error}")
-
-    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Batched read with per-key replica failover.
-
-        Round-based: every unresolved key is batched into one MGET per
-        *next* replica node, so keys whose node just failed (or missed)
-        advance together to the following replica — never back through
-        the node that failed, and never one-by-one.
+        Each round sends every unresolved key to its *next* replica, one
+        MGET per node, so keys whose node failed or missed advance
+        together.  A miss stays open while an up replica is left; after
+        that it is final if any replica answered, and raises if none
+        did.  A tombstone is final at once.  Records a later replica
+        served are written back to those that missed (one MPUT each).
         """
         count = len(keys)
         results: List[Optional[bytes]] = [None] * count
-        if not count:
-            return results
-        orders: List[List[int]] = []
-        boundaries: List[int] = []  # where each key's down-tail starts
-        for key in keys:
-            attempt, skipped = self._partition(self.replicas_for(key))
-            if skipped:
-                self._count("fast_fails", len(skipped))
-            orders.append(attempt + skipped)
-            boundaries.append(len(attempt))
+        orders, boundaries = self._plan(keys)
         ranks = [0] * count
         answered = [False] * count
-        stale: List[List[int]] = [[] for _ in range(count)]
-        errors: List[Optional[Exception]] = [None] * count
+        stale: Dict[int, List[int]] = {}  # position -> nodes that missed
         repairs: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        active = list(range(count))
+        last_error: Optional[Exception] = None
+        active: Sequence[int] = range(count)
         while active:
             batches: Dict[int, List[int]] = {}
             for position in active:
                 rank = ranks[position]
-                exhausted = (rank >= len(orders[position])
-                             or (answered[position]
-                                 and rank >= boundaries[position]))
-                if exhausted:
+                order = orders[position]
+                if rank >= len(order) or (answered[position]
+                                          and rank >= boundaries[position]):
                     if not answered[position]:
                         raise ConnectionError(
-                            "every replica unreachable for read: "
-                            f"{errors[position]}")
+                            f"every replica unreachable for read: "
+                            f"{last_error}")
                     continue  # authoritative miss: stays None
-                batches.setdefault(orders[position][rank],
-                                   []).append(position)
+                batches.setdefault(order[rank], []).append(position)
             active = []
             for index, positions in batches.items():
                 try:
-                    _status, reply = self._clients[index].request(
-                        OP_MGET,
+                    reply = self._request(
+                        index, OP_MGET,
                         _pack_chunks([keys[p] for p in positions]))
                 except ConnectionError as error:
-                    self._note_failure(index)
+                    last_error = error
                     for position in positions:
-                        errors[position] = error
                         ranks[position] += 1
-                        active.append(position)
+                    active.extend(positions)
                     continue
-                self._note_success(index)
-                for position, chunk in zip(positions,
-                                           _unpack_chunks(reply)):
+                for position, chunk in zip(
+                        positions, _reply_chunks(reply, len(positions))):
                     answered[position] = True
                     if not chunk:
-                        stale[position].append(index)
+                        stale.setdefault(position, []).append(index)
                         ranks[position] += 1
                         active.append(position)
                         continue
                     value = chunk[1:]
                     if value == TOMBSTONE:
                         continue  # deleted: resolved as None
-                    if stale[position] and self.read_repair:
+                    if position in stale and self.read_repair:
                         for target in stale[position]:
                             repairs.setdefault(target, []).append(
                                 (keys[position], value))
                     results[position] = value
         for index, items in repairs.items():
             try:
-                self._clients[index].request(OP_MPUT, _pack_pairs(items))
+                self._request(index, OP_MPUT, _pack_pairs(items))
             except ConnectionError:
-                self._note_failure(index)
                 continue
-            self._note_success(index)
             self._count("read_repairs", len(items))
         return results
 
-    def contains(self, key: bytes) -> bool:
-        attempt, skipped = self._partition(self.replicas_for(key))
-        if skipped:
-            self._count("fast_fails", len(skipped))
+    def _write_walk(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bool]:
+        """Every keyed write is a batch of this walk.
+
+        The items go to their up replicas as one MPUT per node.  A key is
+        written once one replica stored it; the replicas a written key
+        missed (down, or failed now) get a hint.  If some key reached no
+        replica the batch raises ConnectionError, after parking the other
+        keys' hints; the unwritten key gets none, so a write that raised
+        never lands later.  Returns, per item, whether a replica held a
+        live record under its key before this write.
+        """
+        orders, boundaries = self._plan([key for key, _record in items])
+        per_node: Dict[int, List[int]] = {}
+        missed: Dict[int, List[int]] = {}
+        for position, (order, boundary) in enumerate(zip(orders,
+                                                         boundaries)):
+            for rank, index in enumerate(order):
+                target = per_node if rank < boundary else missed
+                target.setdefault(index, []).append(position)
+        written = [False] * len(items)
+        live = [False] * len(items)
         last_error: Optional[Exception] = None
-        answered = False
-        boundary = len(attempt)
-        for position, index in enumerate(attempt + skipped):
-            if answered and position >= boundary:
-                break
+        for index, positions in per_node.items():
             try:
-                _status, reply = self._clients[index].request(
-                    OP_CONTAINS, key)
+                reply = self._request(index, OP_MPUT, _pack_pairs(
+                    [items[p] for p in positions]))
             except ConnectionError as error:
                 last_error = error
-                self._note_failure(index)
+                missed.setdefault(index, []).extend(positions)
                 continue
-            self._note_success(index)
-            answered = True
-            if reply == b"\x01":
-                return True
-        if answered:
-            return False
-        raise ConnectionError(
-            f"every replica unreachable for contains: {last_error}")
+            if len(reply) != len(positions):
+                raise FrameError(f"{len(reply)} flags answer "
+                                 f"{len(positions)} writes")
+            for position, flag in zip(positions, reply):
+                written[position] = True
+                if flag:
+                    live[position] = True
+        for index, positions in missed.items():
+            self._park_hints(index, [(_HINT_PUT + items[p][0], items[p][1])
+                                     for p in positions if written[p]])
+        if not all(written):
+            raise ConnectionError(
+                f"no replica reachable for write: {last_error}")
+        return live
+
+    # -- BackingStore -----------------------------------------------------
+
+    def put(self, key: bytes, record: bytes) -> None:
+        self._write_walk([(key, record)])
+
+    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
+        self._write_walk(items)
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        return self._read_walk([key])[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        return self._read_walk(keys)
 
     def delete(self, key: bytes) -> bool:
-        attempt, skipped = self._partition(self.replicas_for(key))
-        if skipped:
-            self._count("fast_fails", len(skipped))
-        found = False
-        reached = 0
-        failed: List[int] = []
-        last_error: Optional[Exception] = None
-        for index in attempt:
-            try:
-                _status, reply = self._clients[index].request(
-                    OP_TOMBSTONE, key)
-            except ConnectionError as error:
-                last_error = error
-                self._note_failure(index)
-                failed.append(index)
-                continue
-            self._note_success(index)
-            reached += 1
-            found = found or reply == b"\x01"
-        if not reached:
-            raise ConnectionError(
-                f"every replica unreachable for delete: {last_error}")
-        for index in skipped + failed:
-            self._park_hints(index, [(_HINT_PUT + key, TOMBSTONE)])
-        return found
+        """Write a tombstone; True when a replica held the key live."""
+        return self._write_walk([(key, TOMBSTONE)])[0]
 
     def scan(self, prefix: bytes) -> List[bytes]:
+        """Every node's live keys; down nodes only when no up node answers."""
         seen = set()
         reached = 0
         last_error: Optional[Exception] = None
-        up = [i for i in range(len(self._clients))
-              if not self._health.is_down(i)]
-        down = [i for i in range(len(self._clients))
-                if self._health.is_down(i)]
+        down = self._health.down_indexes()
         if down:
             self._count("fast_fails", len(down))
-        for phase in (up, down):
-            if reached and phase is down:
+        for index in [i for i in range(len(self._clients))
+                      if i not in down] + down:
+            if reached and index in down:
                 break
-            for index in phase:
-                try:
-                    _status, reply = self._clients[index].request(
-                        OP_SCAN, prefix)
-                except ConnectionError as error:
-                    last_error = error
-                    self._note_failure(index)
-                    continue
-                self._note_success(index)
-                reached += 1
-                seen.update(_unpack_chunks(reply))
+            try:
+                reply = self._request(index, OP_SCAN, prefix)
+            except ConnectionError as error:
+                last_error = error
+                continue
+            reached += 1
+            seen.update(_unpack_chunks(reply))
         if not reached:
             raise ConnectionError(
                 f"every node unreachable for scan: {last_error}")
@@ -1181,19 +1081,18 @@ class SocketBackingStore(BackingStore):
 
     def delete_prefix(self, prefix: bytes) -> int:
         dropped = 0
-        unreached: List[int] = []
-        for index, client in enumerate(self._clients):
-            if self._health.is_down(index):
-                self._count("fast_fails")
-                unreached.append(index)
-                continue
+        unreached = self._health.down_indexes()
+        if unreached:
+            self._count("fast_fails", len(unreached))
+        for index in [i for i in range(len(self._clients))
+                      if i not in unreached]:
             try:
-                _status, reply = client.request(OP_DELETE_PREFIX, prefix)
+                reply = self._request(index, OP_DELETE_PREFIX, prefix)
             except ConnectionError:
-                self._note_failure(index)
                 unreached.append(index)
                 continue
-            self._note_success(index)
+            if len(reply) != _U32.size:
+                raise FrameError(f"a {len(reply)}-byte drop count")
             dropped = max(dropped, _U32.unpack(reply)[0])
         # a namespace released while a node is down would otherwise leak
         # (and anti-entropy would copy it back on rejoin): park the drop
@@ -1215,14 +1114,12 @@ class SocketBackingStore(BackingStore):
     def ping(self) -> List[bool]:
         """Liveness of each node, index-aligned with ``nodes``."""
         alive = []
-        for index, client in enumerate(self._clients):
+        for index in range(len(self._clients)):
             try:
-                client.request(OP_PING, b"")
+                self._request(index, OP_PING, b"")
             except ConnectionError:
-                self._note_failure(index)
                 alive.append(False)
                 continue
-            self._note_success(index)
             alive.append(True)
         return alive
 
@@ -1250,7 +1147,7 @@ class SocketBackingStore(BackingStore):
         per_node = []
         for client in self._clients:
             try:
-                _status, reply = client.request(OP_STATS, b"")
+                reply = client.request(OP_STATS, b"")
                 per_node.append(json.loads(reply.decode("utf-8")))
             except ConnectionError:
                 per_node.append(None)

@@ -41,37 +41,6 @@ class TestRecordCodec:
 
 
 class TestInMemoryBackingStore:
-    def test_put_get_delete_contains(self):
-        store = InMemoryBackingStore()
-        assert store.get(b"a") is None
-        store.put(b"a", b"rec-a")
-        store.put(b"b", b"rec-b")
-        assert store.get(b"a") == b"rec-a"
-        assert store.contains(b"b")
-        assert store.delete(b"a")
-        assert not store.delete(b"a")
-        assert store.get(b"a") is None
-
-    def test_put_many_get_many_align(self):
-        store = InMemoryBackingStore()
-        store.put_many([(b"k1", b"v1"), (b"k2", b"v2")])
-        assert store.get_many([b"k2", b"missing", b"k1"]) == \
-            [b"v2", None, b"v1"]
-
-    def test_scan_and_delete_prefix(self):
-        store = InMemoryBackingStore()
-        store.put_many([(b"ns1|a", b"1"), (b"ns1|b", b"2"), (b"ns2|a", b"3")])
-        assert sorted(store.scan(b"ns1|")) == [b"ns1|a", b"ns1|b"]
-        assert store.delete_prefix(b"ns1|") == 2
-        assert store.scan(b"ns1|") == []
-        assert store.get(b"ns2|a") == b"3"
-
-    def test_overwrite_replaces(self):
-        store = InMemoryBackingStore()
-        store.put(b"k", b"old")
-        store.put(b"k", b"new")
-        assert store.get(b"k") == b"new"
-
     def test_stats_report_kind(self):
         store = InMemoryBackingStore()
         assert store.stats()["kind"] == "mem"

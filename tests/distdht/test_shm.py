@@ -16,21 +16,6 @@ def store():
 
 
 class TestBasicOps:
-    def test_put_get_overwrite_delete(self, store):
-        store.put(b"k", b"one")
-        assert store.get(b"k") == b"one"
-        store.put(b"k", b"two-longer")
-        assert store.get(b"k") == b"two-longer"
-        assert store.delete(b"k")
-        assert store.get(b"k") is None
-        assert not store.delete(b"k")
-
-    def test_scan_and_delete_prefix(self, store):
-        store.put_many([(b"a|1", b"x"), (b"a|2", b"y"), (b"b|1", b"z")])
-        assert sorted(store.scan(b"a|")) == [b"a|1", b"a|2"]
-        assert store.delete_prefix(b"a|") == 2
-        assert store.get(b"b|1") == b"z"
-
     def test_segments_grow_geometrically(self, store):
         # 1 KiB first segment; pushing ~8 KiB of records must add
         # segments without losing any earlier record
